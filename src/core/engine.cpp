@@ -50,6 +50,9 @@ struct KnnEngine::Impl {
   IoAccountant shard_io;
   /// Previous phase-1 assignment (reused when repartition_every > 1).
   std::optional<PartitionAssignment> last_assignment;
+  /// Unique tuples each phase-2 group held last iteration (sizes this
+  /// iteration's tables; empty before the first).
+  std::vector<std::size_t> group_unique;
 
   Impl(const EngineConfig& config, VertexId num_users)
       : shard_io(config.io_model) {
@@ -69,6 +72,22 @@ struct KnnEngine::Impl {
       // one fewer worker than the target total to avoid oversubscribing.
       pool = std::make_unique<ThreadPool>(threads - 1);
     }
+  }
+
+  /// Runs body(i) for i in [0, count), one task per index on the pool
+  /// (inline without one).
+  template <typename Body>
+  void for_each_task(std::size_t count, Body&& body) {
+    if (!pool) {
+      for (std::size_t i = 0; i < count; ++i) body(i);
+      return;
+    }
+    pool->parallel_for(
+        0, count,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) body(i);
+        },
+        /*min_chunk=*/1);
   }
 };
 
@@ -132,69 +151,100 @@ IterationStats KnnEngine::run_iteration() {
   }
 
   // ---- Phase 2: populate H with unique tuples, shard them by pair. ----
-  // Shards stream to disk through a bounded buffer; phase 4 reads each
+  // Shards stream to disk through bounded buffers; phase 4 reads each
   // pair's bundle back sequentially when its turn in the schedule comes.
+  //
+  // H is split into one group per thread by pair slot (slot % groups).
+  // A tuple's slot is a function of (s, d), so every copy of a tuple
+  // lands in the same group and dedup per group is global dedup. Tasks
+  // (one per partition, then one per user range for the restarts)
+  // generate candidates in parallel, bucketed by group, at most `groups`
+  // tasks per wave; then each group drains the wave's buckets in task
+  // order into its own TupleTable and single-writer shard writer. Every
+  // slot therefore receives its tuples in the serial emission order, so
+  // the shard files are the same at every thread count.
   const std::size_t num_slots = pair_slot(m - 1, m - 1, m) + 1;
-  TupleShardWriter shard_writer(impl_->work_dir, "tuples", num_slots,
-                                config_.shard_buffer_bytes,
-                                &impl_->shard_io);
+  const std::size_t groups = impl_->threads;
+  std::vector<TupleShardWriter> shard_writers;
+  auto writer_of = [&](std::size_t slot) -> TupleShardWriter& {
+    return shard_writers[slot % groups];
+  };
   {
     ScopedAccumulator timing(&stats.timings.hash_s);
-    TupleTable table(static_cast<std::size_t>(n) * config_.k * 2);
-    auto admit = [&](Tuple t) {
-      if (table.insert(t)) {
-        shard_writer.add(
-            pair_slot(assignment.owner(t.s), assignment.owner(t.d), m), t);
-      }
-      if (config_.include_reverse) {
-        const Tuple rev{t.d, t.s};
-        if (table.insert(rev)) {
-          shard_writer.add(
-              pair_slot(assignment.owner(rev.s), assignment.owner(rev.d), m),
-              rev);
-        }
-      }
+    shard_writers.reserve(groups);
+    for (std::size_t g = 0; g < groups; ++g) {
+      // Groups own disjoint slots, so they share the file layout
+      // <work_dir>/tuples_<slot>.bin and split the buffer budget.
+      shard_writers.emplace_back(
+          impl_->work_dir, "tuples", num_slots,
+          std::max<std::size_t>(config_.shard_buffer_bytes / groups,
+                                sizeof(Tuple)),
+          &impl_->shard_io);
+    }
+    const std::span<const PartitionId> owner = assignment.owners();
+    auto slot_of = [&](Tuple t) {
+      return pair_slot(owner[t.s], owner[t.d], m);
     };
-    const bool sampling = config_.sample_rate < 1.0;
-    for (PartitionId p = 0; p < m; ++p) {
-      const PartitionData part = store.load_edges(p);
-      // Neighbours' neighbours via the sorted merge-join (optionally
-      // subsampled at rate rho, NN-Descent style). The sampling stream is
-      // derived per partition so the decisions don't depend on which
-      // executor processes p (the shard-count determinism contract).
-      Rng sample_rng = candidate_sample_rng(config_.seed, iteration_, p);
-      stats.candidate_tuples += merge_join_tuples(
-          part.in_edges, part.out_edges, [&](Tuple t) {
-            if (sampling && !sample_rng.next_bool(config_.sample_rate)) {
-              return;
-            }
-            admit(t);
-          });
-      // ...plus the direct edges of G(t) ("as well as directed edges from
-      // the graph G(t)"); never sampled — the current KNN edges must keep
-      // competing or the graph forgets what it already knows.
-      for (const Edge& e : part.out_edges) {
-        ++stats.candidate_tuples;
-        admit(Tuple{e.src, e.dst});
-      }
+    if (impl_->group_unique.size() != groups) {
+      // Every user's k neighbours each bring k bridge tuples, plus its k
+      // direct edges.
+      impl_->group_unique.assign(
+          groups, static_cast<std::size_t>(n) * config_.k * (config_.k + 1) /
+                      groups);
     }
-    // NN-Descent-style random restarts (see EngineConfig docs): a trickle
-    // of uniform candidates so users remain reachable after profile drift.
-    // One derived stream per user, so the values are independent of which
-    // worker generates them.
-    if (config_.random_candidates > 0 && n > 1) {
-      for (VertexId s = 0; s < n; ++s) {
-        Rng restart_rng = random_restart_rng(config_.seed, iteration_, s);
-        for (std::uint32_t r = 0; r < config_.random_candidates; ++r) {
-          const auto d = static_cast<VertexId>(restart_rng.next_below(n));
-          if (d == s) continue;
-          ++stats.candidate_tuples;
-          admit(Tuple{s, d});
+    std::vector<TupleTable> tables;
+    tables.reserve(groups);
+    for (std::size_t g = 0; g < groups; ++g) {
+      tables.emplace_back(impl_->group_unique[g]);
+    }
+    const std::size_t restart_tasks =
+        config_.random_candidates > 0 && n > 1 ? groups : 0;
+    const std::size_t num_tasks = m + restart_tasks;
+    // buckets[i][g]: the wave's i-th task's candidates for group g.
+    std::vector<std::vector<std::vector<Tuple>>> buckets(
+        groups, std::vector<std::vector<Tuple>>(groups));
+    std::vector<std::uint64_t> emitted(groups);
+    for (std::size_t wave = 0; wave < num_tasks; wave += groups) {
+      const std::size_t width = std::min(groups, num_tasks - wave);
+      impl_->for_each_task(width, [&](std::size_t i) {
+        auto emit = [&](Tuple t) {
+          buckets[i][slot_of(t) % groups].push_back(t);
+        };
+        const std::size_t task = wave + i;
+        if (task < m) {
+          const auto p = static_cast<PartitionId>(task);
+          const PartitionData part = store.load_edges(p);
+          emitted[i] = partition_candidates(part.in_edges, part.out_edges, p,
+                                            config_, iteration_, emit);
+          return;
         }
+        const std::size_t r = task - m;
+        const auto lo = static_cast<VertexId>(n * r / restart_tasks);
+        const auto hi = static_cast<VertexId>(n * (r + 1) / restart_tasks);
+        emitted[i] = 0;
+        for (VertexId s = lo; s < hi; ++s) {
+          emitted[i] += restart_candidates(s, n, config_, iteration_, emit);
+        }
+      });
+      for (std::size_t i = 0; i < width; ++i) {
+        stats.candidate_tuples += emitted[i];
       }
+      impl_->for_each_task(groups, [&](std::size_t g) {
+        for (std::size_t i = 0; i < width; ++i) {
+          for (const Tuple t : buckets[i][g]) {
+            if (tables[g].insert(t)) shard_writers[g].add(slot_of(t), t);
+          }
+          buckets[i][g].clear();
+        }
+      });
     }
-    stats.unique_tuples = table.size();
-    shard_writer.finish();
+    buckets.clear();
+    impl_->for_each_task(groups,
+                         [&](std::size_t g) { shard_writers[g].finish(); });
+    for (std::size_t g = 0; g < groups; ++g) {
+      impl_->group_unique[g] = tables[g].size();
+      stats.unique_tuples += tables[g].size();
+    }
   }
 
   // ---- Phase 3: PI graph + traversal schedule. -------------------------
@@ -204,7 +254,8 @@ IterationStats KnnEngine::run_iteration() {
     ScopedAccumulator timing(&stats.timings.pi_graph_s);
     for (PartitionId a = 0; a < m; ++a) {
       for (PartitionId b = a; b < m; ++b) {
-        const auto count = shard_writer.shard_records(pair_slot(a, b, m));
+        const std::size_t slot = pair_slot(a, b, m);
+        const auto count = writer_of(slot).shard_records(slot);
         if (count > 0) pi.add_edge(a, b, count);
       }
     }
@@ -274,27 +325,24 @@ IterationStats KnnEngine::run_iteration() {
             into.offer(tuples[i].s, tuples[i].d, scores[i]);
           });
     };
-    PartitionCache cache(store, config_.memory_slots);
-    // Flat (SoA) copies of the loaded partitions for the batched kernels,
-    // cached alongside the PartitionCache slots so each partition is
-    // packed once per load, not once per PI pair.
+    // Each load reads a partition's vertex and profile files only and
+    // decodes the profiles straight into the flat (SoA) layout the
+    // batched kernels read, over the pool: once per load, not per pair.
+    PartitionCache cache(config_.memory_slots, [&](PartitionId p) {
+      return store.load_flat(p, config_.quantize_profiles,
+                             impl_->pool.get());
+    });
     const KernelBackend backend = resolve_kernel_backend(config_.kernel);
-    FlatSetCache flat_cache(config_.memory_slots, config_.quantize_profiles);
     std::vector<float> scores;
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
       const std::size_t slot = pair_slot(pair.a, pair.b, m);
       const std::vector<Tuple> tuples =
-          read_record_shard<Tuple>(shard_writer.shard_path(slot),
+          read_record_shard<Tuple>(writer_of(slot).shard_path(slot),
                                    &impl_->shard_io);
-      const PartitionData& pa = cache.get(pair.a);
-      const PartitionData& pb =
-          pair.b == pair.a ? pa : cache.get(pair.b);
-      const FlatProfileSet& fa =
-          flat_cache.get(pair.a, pa.vertices, pa.profiles);
+      const FlatProfileSet& fa = cache.get(pair.a).flat;
       const FlatProfileSet* fb =
-          pair.b == pair.a ? nullptr
-                           : &flat_cache.get(pair.b, pb.vertices, pb.profiles);
+          pair.b == pair.a ? nullptr : &cache.get(pair.b).flat;
       scores.assign(tuples.size(), 0.0f);
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);

@@ -203,43 +203,18 @@ void produce_candidates(const WaveContext& ctx, std::uint32_t w,
   const PartitionId m = ctx.assignment.num_partitions();
   Timer wall;
   ScopedAccumulator timing(&worker.stats.timings.hash_s);
-  auto route = [&](Tuple t) {
-    sink.add(ctx.shard_owner.owner(t.s), t);
-    if (config.include_reverse) {
-      sink.add(ctx.shard_owner.owner(t.d), Tuple{t.d, t.s});
-    }
-  };
-  const bool sampling = config.sample_rate < 1.0;
+  // The serial engine's generator (core/tuple_generation.h): the same
+  // per-partition and per-user streams, whichever worker runs them.
+  auto route = [&](Tuple t) { sink.add(ctx.shard_owner.owner(t.s), t); };
   for (PartitionId p = w; p < m; p += ctx.shards) {
     const PartitionData part = store.load_edges(p);
-    // Same per-partition sampling stream as the serial engine — the
-    // decisions don't depend on which worker processes p.
-    Rng sample_rng = candidate_sample_rng(config.seed, ctx.iteration, p);
-    worker.stats.candidate_tuples += merge_join_tuples(
-        part.in_edges, part.out_edges, [&](Tuple t) {
-          if (sampling && !sample_rng.next_bool(config.sample_rate)) {
-            return;
-          }
-          route(t);
-        });
-    // Direct edges of G(t), never sampled (as in the serial engine).
-    for (const Edge& e : part.out_edges) {
-      ++worker.stats.candidate_tuples;
-      route(Tuple{e.src, e.dst});
-    }
+    worker.stats.candidate_tuples += partition_candidates(
+        part.in_edges, part.out_edges, p, config, ctx.iteration, route);
   }
-  // Random restarts for this shard's own users, one derived stream per
-  // user — identical values to the serial engine's.
-  if (config.random_candidates > 0 && n > 1) {
-    for (VertexId s : members) {
-      Rng restart_rng = random_restart_rng(config.seed, ctx.iteration, s);
-      for (std::uint32_t r = 0; r < config.random_candidates; ++r) {
-        const auto d = static_cast<VertexId>(restart_rng.next_below(n));
-        if (d == s) continue;
-        ++worker.stats.candidate_tuples;
-        route(Tuple{s, d});
-      }
-    }
+  // Random restarts for this shard's own users.
+  for (VertexId s : members) {
+    worker.stats.candidate_tuples +=
+        restart_candidates(s, n, config, ctx.iteration, route);
   }
   if (mid_wave_hook) mid_wave_hook();
   worker.produce_s = wall.elapsed_seconds();
@@ -257,8 +232,9 @@ struct ConsumerOutput {
 /// top-K for owned users, count changes against `prev` = G(t).
 ///
 /// `local_profiles` non-null redirects profile lookups to that store and
-/// streams partitions edges-only (no .prof reads) — the persistent-worker
-/// path, where profiles arrive over the command channel as KPRD deltas.
+/// loads partition vertex lists only (no .prof reads) — the
+/// persistent-worker path, where profiles arrive over the command channel
+/// as KPRD deltas.
 /// The values are identical either way, so the output graph is too.
 ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
                                   std::span<const VertexId> members,
@@ -346,14 +322,18 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
                                sizeof(ScoredTuple)),
                            io);
     }
-    PartitionCache cache(store, config.memory_slots,
-                         /*edges_only=*/local_profiles != nullptr);
+    // Streaming path: each load decodes the partition's profiles
+    // straight into the flat (SoA) layout. Persistent path
+    // (local_profiles): tuples may reference any user, so pack the
+    // worker's whole P(t) once — O(total entries), amortised over the
+    // full wave — and load only vertex lists, which keeps the load
+    // counts of the streaming path.
+    PartitionCache cache(config.memory_slots, [&](PartitionId p) {
+      return local_profiles != nullptr
+                 ? store.load_vertices(p)
+                 : store.load_flat(p, config.quantize_profiles, pool);
+    });
     const KernelBackend backend = resolve_kernel_backend(config.kernel);
-    // Streaming path: flat (SoA) copies of loaded partitions, cached per
-    // slot. Persistent path (local_profiles): tuples may reference any
-    // user and partitions stream edges-only, so pack the worker's whole
-    // P(t) once — O(total entries), amortised over the full wave.
-    FlatSetCache flat_cache(config.memory_slots, config.quantize_profiles);
     std::optional<FlatProfileSet> local_flat;
     if (local_profiles != nullptr) {
       local_flat.emplace(config.quantize_profiles);
@@ -373,13 +353,9 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
           pair_writer.shard_path(pi_pair_slot(pair.a, pair.b, m)), io);
       const PartitionData& pa = cache.get(pair.a);
       const PartitionData& pb = pair.b == pair.a ? pa : cache.get(pair.b);
-      const FlatProfileSet& fa =
-          local_flat ? *local_flat
-                     : flat_cache.get(pair.a, pa.vertices, pa.profiles);
-      const FlatProfileSet* fb = nullptr;
-      if (!local_flat && pair.b != pair.a) {
-        fb = &flat_cache.get(pair.b, pb.vertices, pb.profiles);
-      }
+      const FlatProfileSet& fa = local_flat ? *local_flat : pa.flat;
+      const FlatProfileSet* fb =
+          local_flat || pair.b == pair.a ? nullptr : &pb.flat;
       scores.assign(tuples.size(), 0.0f);
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);
@@ -426,8 +402,8 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
     stats.partition_loads = cache.loads();
     stats.partition_unloads = cache.unloads();
     worker.partitions_touched = pi.touched_partitions();
-    // Each full-partition load reads a .prof file; edges-only streaming
-    // (the persistent path) never does.
+    // Each streaming load reads a .prof file; the persistent path's
+    // vertex-only loads never do.
     worker.profile_reads = local_profiles != nullptr ? 0 : cache.loads();
 
     ScopedAccumulator merge_timing(&stats.knn_merge_s);

@@ -89,9 +89,9 @@ enum class ShardWorkerMode {
   /// frame, and the driver releases the produce -> consume barrier with
   /// a payload-free GO once every shard has spooled; the consume wave
   /// then replies ITERATION_DONE with stats + ShardResult inline.
-  /// Because profiles sync over the channel, persistent workers stream
-  /// partitions edges-only: the shared store never writes or serves
-  /// .prof files in this mode. Amortises the per-wave fork+execv, plan
+  /// Because profiles sync over the channel, persistent workers' phase 4
+  /// loads partition vertex lists only: the shared store never writes or
+  /// serves .prof files in this mode. Amortises the per-wave fork+execv, plan
   /// write, snapshot write and store re-open that Process mode pays.
   /// Supervision: a worker that dies, replies garbage, or exceeds
   /// `worker_timeout_s` on one command is SIGKILLed and respawned
@@ -188,9 +188,9 @@ struct ShardWorkerStats {
   /// Partitions this worker's phase-4 schedule actually streamed (pair
   /// incidence of its PI graph) — ~m/S under the pair-affinity split.
   std::uint32_t partitions_touched = 0;
-  /// Full-partition (.prof-bearing) loads this worker's phase-4 cache
-  /// issued this iteration. Persistent workers stream edges-only and
-  /// sync profiles over the channel, so this is 0 there from iteration 0.
+  /// .prof-bearing loads this worker's phase-4 cache issued this
+  /// iteration. Persistent workers load vertex lists only and sync
+  /// profiles over the channel, so this is 0 there from iteration 0.
   std::uint64_t profile_reads = 0;
   /// KPRD profile-delta rows shipped to this worker this iteration
   /// (persistent mode): the churned users on the steady path, all n on a

@@ -10,6 +10,7 @@
 #include <functional>
 #include <span>
 
+#include "core/engine.h"
 #include "graph/digraph.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -93,6 +94,60 @@ std::uint64_t merge_join_tuples(std::span<const Edge> in_edges,
     }
     i = i_end;
     o = o_end;
+  }
+  return emitted;
+}
+
+/// Phase-2 candidates of partition `p` in iteration `iteration`: its
+/// bridge tuples (merge_join_tuples, subsampled at config.sample_rate with
+/// p's own candidate_sample_rng stream) plus the direct edges of G(t) it
+/// stores ("as well as directed edges from the graph G(t)"). Direct edges
+/// are never sampled: the current KNN edges must keep competing or the
+/// graph forgets what it already knows. Calls `emit(t)` per candidate,
+/// followed by `emit(reverse of t)` when config.include_reverse. Returns
+/// the candidate count before sampling, reverses not included — the
+/// IterationStats::candidate_tuples contribution of p.
+///
+/// The one generator behind the serial engine and every shard-driver
+/// producer: any executor that processes p emits the same stream.
+template <typename Emit>
+std::uint64_t partition_candidates(std::span<const Edge> in_edges,
+                                   std::span<const Edge> out_edges,
+                                   PartitionId p, const EngineConfig& config,
+                                   std::uint32_t iteration, Emit&& emit) {
+  auto admit = [&](Tuple t) {
+    emit(t);
+    if (config.include_reverse) emit(Tuple{t.d, t.s});
+  };
+  const bool sampling = config.sample_rate < 1.0;
+  Rng sample_rng = candidate_sample_rng(config.seed, iteration, p);
+  const std::uint64_t bridged =
+      merge_join_tuples(in_edges, out_edges, [&](Tuple t) {
+        if (sampling && !sample_rng.next_bool(config.sample_rate)) return;
+        admit(t);
+      });
+  for (const Edge& e : out_edges) admit(Tuple{e.src, e.dst});
+  return bridged + out_edges.size();
+}
+
+/// NN-Descent-style random restarts of user `s` (EngineConfig::
+/// random_candidates uniform candidates among n users, self-draws
+/// skipped) from s's own random_restart_rng stream, emitted like
+/// partition_candidates. Returns the number of candidates emitted,
+/// reverses not included.
+template <typename Emit>
+std::uint64_t restart_candidates(VertexId s, VertexId n,
+                                 const EngineConfig& config,
+                                 std::uint32_t iteration, Emit&& emit) {
+  if (config.random_candidates == 0 || n <= 1) return 0;
+  Rng restart_rng = random_restart_rng(config.seed, iteration, s);
+  std::uint64_t emitted = 0;
+  for (std::uint32_t r = 0; r < config.random_candidates; ++r) {
+    const auto d = static_cast<VertexId>(restart_rng.next_below(n));
+    if (d == s) continue;
+    ++emitted;
+    emit(Tuple{s, d});
+    if (config.include_reverse) emit(Tuple{d, s});
   }
   return emitted;
 }

@@ -10,9 +10,10 @@
 // the mean per pair — O(|p|) work the flat layout pays exactly once).
 //
 // A FlatProfileSet is a packed copy of a group of profiles — a loaded
-// partition pair in the streaming engines, or the whole resident P(t) in
-// persistent workers — built in O(total entries), which is noise next to
-// the O(tuples x profile length) scoring it feeds. The precomputed norm
+// partition in the streaming engines (decoded straight from its profile
+// file by from_packed), or the whole resident P(t) in persistent workers
+// — built in O(total entries), which is noise next to the
+// O(tuples x profile length) scoring it feeds. The precomputed norm
 // and mean use the exact accumulation order of SparseProfile::norm() and
 // the scalar measures in profiles/similarity.cpp, so kernel scores are
 // bit-identical to the per-pair scalar path (the golden-checksum
@@ -28,15 +29,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "profiles/profile.h"
 #include "util/types.h"
 
 namespace knnpc {
+
+class ThreadPool;
 
 class FlatProfileSet {
  public:
@@ -58,6 +59,17 @@ class FlatProfileSet {
   /// Packs `p` under vertex id `v` (each id at most once).
   void add(VertexId v, const SparseProfile& p);
 
+  /// Decodes a profile file (pack_profiles format, profiles/
+  /// profile_store.h) straight into the flat layout, profile i under
+  /// `vertices[i]`: the same set as add()ing the unpacked profiles in
+  /// order. `pool` decodes user ranges in parallel; each row's norm and
+  /// mean are accumulated in add()'s order, so the result is identical
+  /// at any thread count. Throws std::runtime_error on a truncated file
+  /// or a profile count other than vertices.size().
+  [[nodiscard]] static FlatProfileSet from_packed(
+      std::span<const VertexId> vertices, std::span<const std::byte> packed,
+      bool quantize, ThreadPool* pool = nullptr);
+
   /// Returns true and fills `out` when v is in the set; false (out
   /// untouched) otherwise.
   [[nodiscard]] bool find(VertexId v, View& out) const;
@@ -78,9 +90,24 @@ class FlatProfileSet {
 
  private:
   [[nodiscard]] View view_of_row(std::uint32_t row) const;
+  /// Registers `v` as the next row (throws on a duplicate id).
+  void map_row(VertexId v, std::uint32_t row);
+  /// Row of `v`, or kNoRow when v is not in the set.
+  [[nodiscard]] std::uint32_t row_of(VertexId v) const noexcept;
+  /// Resizes the row index to `capacity` (a power of two) slots.
+  void rehash_rows(std::size_t capacity);
+  /// Fills row `row`'s preallocated slice [offsets_[row], offsets_[row+1])
+  /// plus its norm, mean and (quantized) scale. Rows are independent, so
+  /// distinct rows may be filled concurrently.
+  void fill_row(std::uint32_t row, std::span<const ProfileEntry> entries);
 
   bool quantize_ = false;
-  std::unordered_map<VertexId, std::uint32_t> row_of_;
+  static constexpr std::uint32_t kNoRow = ~0u;
+  static constexpr std::uint64_t kEmptySlot = ~0ULL;
+  /// Vertex -> row index: open addressing over (v << 32 | row) keys with
+  /// linear probing, at most half full. Flat, so building and dropping a
+  /// partition's set costs no per-vertex allocation.
+  std::vector<std::uint64_t> row_slots_;
   std::vector<std::uint32_t> offsets_{0};  // rows + 1
   std::vector<ItemId> items_;
   std::vector<float> weights_;  // dequantized copies when quantize_
@@ -88,31 +115,6 @@ class FlatProfileSet {
   std::vector<float> qscales_;
   std::vector<double> norms_;
   std::vector<double> means_;
-};
-
-/// Tiny MRU cache of FlatProfileSets keyed by partition id, sized to the
-/// engine's resident-slot budget so a partition's flat layout lives
-/// exactly as long as the partition itself stays loaded in the
-/// PartitionCache (rebuilding per PI pair would re-copy each partition
-/// once per pair instead of once per load).
-class FlatSetCache {
- public:
-  /// `capacity` is clamped to at least 2 so both halves of a PI pair can
-  /// be referenced simultaneously (inserting the second must never evict
-  /// the first).
-  FlatSetCache(std::size_t capacity, bool quantize)
-      : capacity_(capacity < 2 ? 2 : capacity), quantize_(quantize) {}
-
-  /// Flat layout of partition `id`, built from the parallel
-  /// vertices/profiles arrays on first use.
-  const FlatProfileSet& get(PartitionId id,
-                            std::span<const VertexId> vertices,
-                            std::span<const SparseProfile> profiles);
-
- private:
-  std::size_t capacity_;
-  bool quantize_;
-  std::list<std::pair<PartitionId, FlatProfileSet>> entries_;  // MRU first
 };
 
 }  // namespace knnpc

@@ -7,6 +7,7 @@
 #include "storage/mmap_file.h"
 #include "storage/shard_writer.h"
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 namespace knnpc {
 namespace fs = std::filesystem;
@@ -203,6 +204,22 @@ PartitionData PartitionStore::load_edges(PartitionId id) const {
   return data;
 }
 
+PartitionData PartitionStore::load_flat(PartitionId id, bool quantize,
+                                        ThreadPool* pool) const {
+  PartitionData data = load_vertices(id);
+  data.flat = FlatProfileSet::from_packed(data.vertices,
+                                          fetch(file(id, ".prof")), quantize,
+                                          pool);
+  return data;
+}
+
+PartitionData PartitionStore::load_vertices(PartitionId id) const {
+  PartitionData data;
+  data.id = id;
+  data.vertices = from_bytes<VertexId>(fetch(file(id, ".vtx")));
+  return data;
+}
+
 void PartitionStore::write_profiles(
     PartitionId id, const std::vector<VertexId>& vertices,
     const std::vector<SparseProfile>& profiles) {
@@ -219,11 +236,12 @@ void PartitionStore::write_profiles(
   io_.charge_write(member_bytes.size());
 }
 
-PartitionCache::PartitionCache(const PartitionStore& store, std::size_t slots,
-                               bool edges_only)
-    : store_(store),
-      slots_(std::max<std::size_t>(slots, 1)),
-      edges_only_(edges_only) {}
+PartitionCache::PartitionCache(const PartitionStore& store, std::size_t slots)
+    : PartitionCache(slots,
+                     [&store](PartitionId id) { return store.load(id); }) {}
+
+PartitionCache::PartitionCache(std::size_t slots, Loader load)
+    : slots_(std::max<std::size_t>(slots, 1)), load_(std::move(load)) {}
 
 const PartitionData& PartitionCache::get(PartitionId id) {
   if (auto it = resident_.find(id); it != resident_.end()) {
@@ -237,8 +255,7 @@ const PartitionData& PartitionCache::get(PartitionId id) {
     resident_.erase(victim);
     ++unloads_;
   }
-  auto [it, inserted] = resident_.emplace(
-      id, edges_only_ ? store_.load_edges(id) : store_.load(id));
+  auto [it, inserted] = resident_.emplace(id, load_(id));
   lru_.push_front(id);
   ++loads_;
   return it->second;

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -19,6 +20,7 @@
 
 #include "graph/edge_list.h"
 #include "partition/assignment.h"
+#include "profiles/flat_profile.h"
 #include "profiles/profile.h"
 #include "profiles/profile_store.h"
 #include "storage/io_model.h"
@@ -26,13 +28,17 @@
 
 namespace knnpc {
 
-/// One partition fully materialised in memory.
+class ThreadPool;
+
+/// One partition in memory: everything after load(), a subset after the
+/// other PartitionStore loads (each says which members it fills).
 struct PartitionData {
   PartitionId id = kInvalidPartition;
   std::vector<VertexId> vertices;   // ascending
   std::vector<Edge> in_edges;       // (s, v), sorted by v then s
   std::vector<Edge> out_edges;      // (v, d), sorted by v then d
   std::vector<SparseProfile> profiles;  // profiles[i] belongs to vertices[i]
+  FlatProfileSet flat;  // load_flat() only: the profiles in SoA layout
 
   /// Profile of `v`; nullptr when v is not in this partition. O(log n).
   [[nodiscard]] const SparseProfile* profile_of(VertexId v) const;
@@ -76,8 +82,8 @@ class PartitionStore {
   /// `include_profiles = false` skips the .prof files entirely: the
   /// persistent-worker driver syncs profiles over the command channel
   /// (profiles/profile_delta.h) instead, so writing them here would be
-  /// bytes nobody reads. load() throws on such a store; load_edges() is
-  /// the supported read path.
+  /// bytes nobody reads. load() and load_flat() throw on such a store;
+  /// load_edges() and load_vertices() are the supported read paths.
   void write_all(const EdgeList& graph, const PartitionAssignment& assignment,
                  const ProfileStore& profiles, bool include_profiles = true);
 
@@ -99,6 +105,19 @@ class PartitionStore {
   /// Loads only the vertex list and sorted edge files (phase 2 streams
   /// these to merge-join tuples; profiles are not needed there).
   [[nodiscard]] PartitionData load_edges(PartitionId id) const;
+
+  /// Loads what phase-4 scoring reads: the vertex list, with the profile
+  /// file decoded straight into `flat` (FlatProfileSet::from_packed; no
+  /// SparseProfile copies, no edge files). `pool` splits the decode over
+  /// user ranges. Throws when the partition or its profiles were never
+  /// written.
+  [[nodiscard]] PartitionData load_flat(PartitionId id, bool quantize,
+                                        ThreadPool* pool = nullptr) const;
+
+  /// Loads only the vertex list: the persistent-worker path, where
+  /// profiles live in worker memory and phase 4 reads no partition file
+  /// but still counts its loads.
+  [[nodiscard]] PartitionData load_vertices(PartitionId id) const;
 
   /// Rewrites one partition's profile file (phase 5 flushes updates).
   void write_profiles(PartitionId id,
@@ -128,17 +147,23 @@ class PartitionStore {
 };
 
 /// Bounded partition cache for phase 4: at most `slots` partitions resident
-/// (the paper uses 2). Counts loads and unloads — Table 1's metric.
+/// (the paper uses 2). Counts loads and unloads — Table 1's metric. A
+/// partition takes its slot before its load starts (the LRU victim is
+/// dropped first), so a load never holds `slots + 1` partitions.
 ///
 /// Thread-safety: single-owner (one cache per engine / shard worker); the
 /// underlying store may be shared across caches on different threads.
 class PartitionCache {
  public:
-  /// `edges_only = true` loads partitions via load_edges() (no .prof
-  /// reads): the persistent-worker path, where profiles live in a
-  /// worker-local store kept current by KPRD deltas.
-  PartitionCache(const PartitionStore& store, std::size_t slots,
-                 bool edges_only = false);
+  /// Brings one partition into memory (a PartitionStore load).
+  using Loader = std::function<PartitionData(PartitionId)>;
+
+  /// Full loads (PartitionStore::load).
+  PartitionCache(const PartitionStore& store, std::size_t slots);
+
+  /// Loads through `load`, e.g. PartitionStore::load_flat for phase-4
+  /// scoring or load_vertices where profiles live elsewhere.
+  PartitionCache(std::size_t slots, Loader load);
 
   /// Returns the resident partition, loading (and possibly evicting LRU)
   /// as needed. References are invalidated by subsequent get() calls that
@@ -158,9 +183,8 @@ class PartitionCache {
   void flush();
 
  private:
-  const PartitionStore& store_;
   std::size_t slots_;
-  bool edges_only_ = false;
+  Loader load_;
   std::list<PartitionId> lru_;  // front = most recent
   std::unordered_map<PartitionId, PartitionData> resident_;
   std::uint64_t loads_ = 0;

@@ -130,17 +130,18 @@ std::vector<T> read_record_shard(const std::filesystem::path& path,
   if (!in) return {};
   const auto size = static_cast<std::size_t>(in.tellg());
   in.seekg(0);
-  std::vector<std::byte> bytes(size);
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(bytes.data()),
-            static_cast<std::streamsize>(size));
+  // Straight into the records: no intermediate byte buffer.
+  std::vector<T> records(size / sizeof(T));
+  if (!records.empty()) {
+    in.read(reinterpret_cast<char*>(records.data()),
+            static_cast<std::streamsize>(records.size() * sizeof(T)));
     if (!in) {
       throw std::runtime_error("read_record_shard: short read from " +
                                path.string());
     }
   }
-  if (accountant != nullptr) accountant->charge_read(bytes.size());
-  return from_bytes<T>(bytes);
+  if (accountant != nullptr) accountant->charge_read(size);
+  return records;
 }
 
 /// Phase-2 specialisation: tuple shards keyed by PI pair.

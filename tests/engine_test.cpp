@@ -5,7 +5,10 @@
 #include "core/brute_force.h"
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
+#include "storage/block_file.h"
+#include "storage/shard_writer.h"
 #include "util/rng.h"
 
 namespace knnpc {
@@ -207,6 +210,96 @@ TEST(EngineTest, AutoAndExplicitThreadsMatchSingleThreadedBitForBit) {
     }
   }
 }
+
+// Phases 2 and 4 run on the pool: phase 2 dedups in one group per thread
+// (by pair slot), phase 4 decodes partition profiles over user ranges.
+// Neither may change anything but timings: the graph, the phase counters
+// and every tuple-shard file must equal the single-threaded run's, for
+// every candidate-generation knob and for fewer partitions than threads.
+struct ThreadInvarianceCase {
+  const char* name;
+  void (*tweak)(EngineConfig&);
+
+  friend void PrintTo(const ThreadInvarianceCase& c, std::ostream* os) {
+    *os << c.name;
+  }
+};
+
+class EngineThreadInvarianceTest
+    : public ::testing::TestWithParam<ThreadInvarianceCase> {};
+
+TEST_P(EngineThreadInvarianceTest, EveryThreadCountMatchesSerial) {
+  constexpr VertexId kUsers = 240;
+  struct Iteration {
+    std::uint64_t checksum;
+    std::uint64_t candidates, unique, pairs, loads;
+    std::vector<std::vector<Tuple>> slots;  // tuple shard per pair slot
+  };
+  auto run_with = [&](std::uint32_t threads) {
+    ScratchDir dir("engine_threads");
+    EngineConfig config = small_config();
+    config.seed = 11;
+    config.work_dir = dir.path().string();
+    GetParam().tweak(config);
+    config.threads = threads;
+    KnnEngine engine(config, clustered(kUsers, 6, 55));
+    const std::size_t m = config.num_partitions;
+    std::vector<Iteration> out;
+    for (int it = 0; it < 2; ++it) {
+      const IterationStats stats = engine.run_iteration();
+      Iteration r{knn_graph_checksum(engine.graph()), stats.candidate_tuples,
+                  stats.unique_tuples, stats.pi_pairs, stats.partition_loads,
+                  {}};
+      for (std::size_t slot = 0; slot < m * (m + 1) / 2; ++slot) {
+        r.slots.push_back(read_record_shard<Tuple>(
+            dir.path() / ("tuples_" + std::to_string(slot) + ".bin")));
+      }
+      out.push_back(std::move(r));
+    }
+    return out;
+  };
+  const std::vector<Iteration> serial = run_with(1);
+  for (const std::uint32_t threads : {2u, 3u, 4u, 8u}) {
+    const std::vector<Iteration> parallel = run_with(threads);
+    for (std::size_t it = 0; it < serial.size(); ++it) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " iteration=" + std::to_string(it));
+      const Iteration& a = serial[it];
+      const Iteration& b = parallel[it];
+      EXPECT_EQ(a.checksum, b.checksum);
+      EXPECT_EQ(a.candidates, b.candidates);
+      EXPECT_EQ(a.unique, b.unique);
+      EXPECT_EQ(a.pairs, b.pairs);
+      EXPECT_EQ(a.loads, b.loads);
+      ASSERT_EQ(a.slots.size(), b.slots.size());
+      for (std::size_t slot = 0; slot < a.slots.size(); ++slot) {
+        EXPECT_EQ(a.slots[slot].size(), b.slots[slot].size())
+            << "slot " << slot;
+        EXPECT_TRUE(a.slots[slot] == b.slots[slot]) << "slot " << slot;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CandidateKnobs, EngineThreadInvarianceTest,
+    ::testing::Values(
+        ThreadInvarianceCase{"defaults", [](EngineConfig&) {}},
+        ThreadInvarianceCase{"sampled",
+                             [](EngineConfig& c) { c.sample_rate = 0.6; }},
+        ThreadInvarianceCase{"reverse",
+                             [](EngineConfig& c) { c.include_reverse = true; }},
+        ThreadInvarianceCase{
+            "no_restarts", [](EngineConfig& c) { c.random_candidates = 0; }},
+        ThreadInvarianceCase{"spill_scores",
+                             [](EngineConfig& c) { c.spill_scores = true; }},
+        ThreadInvarianceCase{"one_partition",
+                             [](EngineConfig& c) { c.num_partitions = 1; }},
+        ThreadInvarianceCase{"two_partitions",
+                             [](EngineConfig& c) { c.num_partitions = 2; }}),
+    [](const ::testing::TestParamInfo<ThreadInvarianceCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(EngineTest, ThreadsUsedStatReflectsResolution) {
   EngineConfig config = small_config();

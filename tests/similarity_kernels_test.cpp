@@ -27,9 +27,11 @@
 #include "profiles/compact.h"
 #include "profiles/flat_profile.h"
 #include "profiles/generators.h"
+#include "profiles/profile_store.h"
 #include "profiles/similarity.h"
 #include "profiles/similarity_kernels.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 #ifndef KNNPC_GOLDEN_DIR
 #error "KNNPC_GOLDEN_DIR must point at tests/golden"
@@ -150,21 +152,65 @@ TEST(FlatProfileSetTest, LookupConventions) {
   FlatProfileSet::View v;
   EXPECT_TRUE(set.find(3, v));
   EXPECT_FALSE(set.find(4, v));
-  EXPECT_THROW(set.view(4), std::out_of_range);
+  EXPECT_THROW((void)set.view(4), std::out_of_range);
   EXPECT_THROW(set.add(3, prof({})), std::invalid_argument);
 }
 
-TEST(FlatSetCacheTest, ReusesResidentSetsAndRebuildsAfterEviction) {
-  const std::vector<SparseProfile> profiles = {prof({{1, 1.0f}}),
-                                               prof({{2, 2.0f}})};
-  const std::vector<VertexId> vertices = {0, 1};
-  FlatSetCache cache(2, /*quantize=*/false);
-  const FlatProfileSet* a = &cache.get(0, vertices, profiles);
-  EXPECT_EQ(a, &cache.get(0, vertices, profiles));  // hit, same object
-  cache.get(1, vertices, profiles);
-  cache.get(2, vertices, profiles);  // evicts id 0 (capacity 2)
-  const FlatProfileSet& rebuilt = cache.get(0, vertices, profiles);
-  EXPECT_EQ(rebuilt.num_profiles(), 2u);
+TEST(FlatProfileSetTest, FromPackedEqualsAddAtAnyThreadCount) {
+  Rng rng(29);
+  std::vector<SparseProfile> profiles;
+  std::vector<VertexId> vertices;
+  for (const std::size_t len : kAdversarialLengths) {
+    for (int copy = 0; copy < 40; ++copy) {
+      profiles.push_back(random_profile(len, 3, rng));
+      vertices.push_back(static_cast<VertexId>(5 + 3 * vertices.size()));
+    }
+  }
+  const std::vector<std::byte> packed = pack_profiles(profiles);
+  ThreadPool pool(3);
+  for (const bool quantize : {false, true}) {
+    FlatProfileSet added(quantize);
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+      added.add(vertices[i], profiles[i]);
+    }
+    for (ThreadPool* with : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const FlatProfileSet decoded =
+          FlatProfileSet::from_packed(vertices, packed, quantize, with);
+      ASSERT_EQ(decoded.num_profiles(), added.num_profiles());
+      ASSERT_EQ(decoded.total_entries(), added.total_entries());
+      EXPECT_EQ(decoded.weight_payload_bytes(), added.weight_payload_bytes());
+      for (const VertexId v : vertices) {
+        const FlatProfileSet::View a = added.view(v);
+        const FlatProfileSet::View b = decoded.view(v);
+        ASSERT_EQ(a.size, b.size);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.norm),
+                  std::bit_cast<std::uint64_t>(b.norm));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean),
+                  std::bit_cast<std::uint64_t>(b.mean));
+        EXPECT_TRUE(bit_equal(added.scale_of(v), decoded.scale_of(v)));
+        for (std::uint32_t i = 0; i < a.size; ++i) {
+          EXPECT_EQ(a.items[i], b.items[i]);
+          EXPECT_TRUE(bit_equal(a.weights[i], b.weights[i]));
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatProfileSetTest, FromPackedRejectsBadFiles) {
+  const std::vector<std::byte> packed =
+      pack_profiles({prof({{1, 1.0f}, {4, 2.0f}}), prof({{2, 3.0f}})});
+  const std::vector<VertexId> two = {0, 1};
+  const std::vector<VertexId> three = {0, 1, 2};
+  EXPECT_THROW((void)FlatProfileSet::from_packed(three, packed, false),
+               std::runtime_error);
+  const std::span<const std::byte> truncated(packed.data(),
+                                             packed.size() - 1);
+  EXPECT_THROW((void)FlatProfileSet::from_packed(two, truncated, false),
+               std::runtime_error);
+  const std::vector<VertexId> duplicate = {1, 1};
+  EXPECT_THROW((void)FlatProfileSet::from_packed(duplicate, packed, false),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------- quantization --
