@@ -343,38 +343,10 @@ IterationStats KnnEngine::run_iteration() {
       const FlatProfileSet& fa = cache.get(pair.a).flat;
       const FlatProfileSet* fb =
           pair.b == pair.a ? nullptr : &cache.get(pair.b).flat;
-      scores.assign(tuples.size(), 0.0f);
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);
-        // Tuple shards are grouped by source user (phase-2 emission
-        // order), so runs of equal s batch naturally: one source-profile
-        // lookup and one warm source row per run. Each (i, score) pairing
-        // is independent of chunking, so the parallel split cannot change
-        // results.
-        auto score_range = [&](std::size_t lo, std::size_t hi) {
-          KernelScratch scratch;
-          std::vector<VertexId> cands;
-          std::size_t i = lo;
-          while (i < hi) {
-            std::size_t run_end = i + 1;
-            while (run_end < hi && tuples[run_end].s == tuples[i].s) {
-              ++run_end;
-            }
-            cands.clear();
-            for (std::size_t t = i; t < run_end; ++t) {
-              cands.push_back(tuples[t].d);
-            }
-            score_batch(fa, fb, tuples[i].s, cands, config_.measure, backend,
-                        scores.data() + i, scratch);
-            i = run_end;
-          }
-        };
-        if (impl_->pool) {
-          impl_->pool->parallel_for(0, tuples.size(), score_range,
-                                    /*min_chunk=*/256);
-        } else {
-          score_range(0, tuples.size());
-        }
+        score_tuples(tuples, fa, fb, config_.measure, backend,
+                     impl_->pool.get(), scores);
       }
       if (score_writer) {
         for (std::size_t i = 0; i < tuples.size(); ++i) {

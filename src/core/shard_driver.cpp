@@ -17,10 +17,10 @@
 #include <span>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "core/convergence.h"
-#include "core/stats_io.h"
 #include "core/worker_agent.h"
 #include "core/topk.h"
 #include "core/tuple_generation.h"
@@ -67,32 +67,22 @@ std::uint32_t resolve_shard_count(std::uint32_t requested,
 
 ShardWorkerMode parse_worker_mode(std::string_view name) {
   if (name == "thread") return ShardWorkerMode::Thread;
-  if (name == "process") return ShardWorkerMode::Process;
   if (name == "persistent") return ShardWorkerMode::Persistent;
   throw std::invalid_argument("parse_worker_mode: unknown mode '" +
                               std::string(name) +
-                              "' (thread | process | persistent)");
+                              "' (thread | persistent)");
 }
 
 const char* worker_mode_name(ShardWorkerMode mode) noexcept {
-  switch (mode) {
-    case ShardWorkerMode::Process:
-      return "process";
-    case ShardWorkerMode::Persistent:
-      return "persistent";
-    case ShardWorkerMode::Thread:
-      break;
-  }
-  return "thread";
+  return mode == ShardWorkerMode::Persistent ? "persistent" : "thread";
 }
 
 namespace {
 
 // ------------------------------------------------ work-directory layout --
 // Everything the two waves exchange lives under the driver's work dir;
-// process mode adds the plan, the G(t) snapshot, and per-worker
-// results/stats. Paths are defined here once — the driver and the
-// re-executed workers must agree byte-for-byte.
+// persistent mode adds the plan. Paths are defined here once — the driver
+// and the re-executed workers must agree byte-for-byte.
 
 constexpr const char* kSpoolStem = "tuples";
 
@@ -104,19 +94,6 @@ fs::path consumer_scratch_dir(const fs::path& work_dir, std::uint32_t c) {
 
 fs::path plan_file_path(const fs::path& work_dir) {
   return work_dir / "plan.bin";
-}
-
-fs::path prev_graph_path(const fs::path& work_dir) {
-  return work_dir / "graph_t.knng";
-}
-
-fs::path sidecar_path(const fs::path& work_dir, const std::string& wave,
-                      std::uint32_t shard) {
-  return work_dir / "stats" / (wave + "_" + std::to_string(shard) + ".stats");
-}
-
-fs::path result_file_path(const fs::path& work_dir, std::uint32_t shard) {
-  return work_dir / "results" / ("shard_" + std::to_string(shard) + ".res");
 }
 
 // --------------------------------------------------------- fault points --
@@ -174,9 +151,9 @@ void maybe_inject_fault(const char* wave, std::uint32_t shard,
 
 // ---------------------------------------------------- shared wave bodies --
 // The producer and consumer bodies are mode-agnostic: thread mode calls
-// them on one thread per shard inside the driver, process mode calls them
-// from shard_worker_main in a child process. Keeping one body per wave is
-// what makes the two modes bit-identical by construction.
+// them on one thread per shard inside the driver, persistent mode calls
+// them from the worker's command loop in a child process. Keeping one body
+// per wave is what makes the two modes bit-identical by construction.
 
 struct WaveContext {
   const EngineConfig& config;
@@ -191,7 +168,8 @@ struct WaveContext {
 /// Phase 2, producer wave for shard `w`: generate candidates, route by
 /// owner of the source user into `sink` (= spool files (w, *)). The
 /// caller flushes the sink (thread mode: RoutedShardWriter::finish after
-/// all producers join; process mode: the worker before its sidecar).
+/// all producers join; persistent mode: the worker before its PRODUCED
+/// reply).
 void produce_candidates(const WaveContext& ctx, std::uint32_t w,
                         std::span<const VertexId> members,
                         const PartitionStore& store,
@@ -356,35 +334,9 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
       const FlatProfileSet& fa = local_flat ? *local_flat : pa.flat;
       const FlatProfileSet* fb =
           local_flat || pair.b == pair.a ? nullptr : &pb.flat;
-      scores.assign(tuples.size(), 0.0f);
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);
-        // Same run-batched kernel dispatch as the engine: tuples arrive
-        // grouped by source user, so each run shares one source lookup.
-        auto score_range = [&](std::size_t lo, std::size_t hi) {
-          KernelScratch scratch;
-          std::vector<VertexId> cands;
-          std::size_t i = lo;
-          while (i < hi) {
-            std::size_t run_end = i + 1;
-            while (run_end < hi && tuples[run_end].s == tuples[i].s) {
-              ++run_end;
-            }
-            cands.clear();
-            for (std::size_t t = i; t < run_end; ++t) {
-              cands.push_back(tuples[t].d);
-            }
-            score_batch(fa, fb, tuples[i].s, cands, config.measure, backend,
-                        scores.data() + i, scratch);
-            i = run_end;
-          }
-        };
-        if (pool != nullptr) {
-          pool->parallel_for(0, tuples.size(), score_range,
-                             /*min_chunk=*/256);
-        } else {
-          score_range(0, tuples.size());
-        }
+        score_tuples(tuples, fa, fb, config.measure, backend, pool, scores);
       }
       if (score_writer) {
         for (std::size_t i = 0; i < tuples.size(); ++i) {
@@ -439,39 +391,39 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
   return {std::move(next), changed};
 }
 
-// ---------------------------------------------------- process-mode plan --
-// The plan file ("KPLN") carries everything a worker process needs that
-// is not already on disk: the wave-relevant EngineConfig fields, the
-// resolved shard/thread budget, and both ownership maps. Same-build
+// ---------------------------------------------------------- worker plan --
+// The plan file ("KPLN") carries the static part of what a worker process
+// needs: the wave-relevant EngineConfig fields and the resolved
+// shard/thread budget. Everything that changes per iteration (ownership
+// maps, G(t), P(t)) rides the RUN_ITERATION command instead. Same-build
 // producer and consumer (the worker IS the driver's binary).
 
 constexpr char kPlanMagic[4] = {'K', 'P', 'L', 'N'};
 // v2: adds the phase-4 kernel backend string and the quantize_profiles
-// flag (both read by the wave bodies, so process-mode workers must see
-// the configured values, not the defaults).
-constexpr std::uint32_t kPlanVersion = 2;
+// flag (both read by the wave bodies, so workers must see the configured
+// values, not the defaults).
+// v3: drops the iteration number and both ownership maps (RUN_ITERATION
+// carries them).
+constexpr std::uint32_t kPlanVersion = 3;
 
 // Tripwire: the plan file hand-serialises the wave-relevant subset of
 // EngineConfig. A field added to EngineConfig that the wave bodies read
-// but the plan omits would make process-mode workers silently run on the
+// but the plan omits would make persistent workers silently run on the
 // default while thread mode uses the configured value — a plausible but
 // wrong graph. Growing EngineConfig therefore fails here on the CI
 // platform until save_plan_file/load_plan_file (below) were reviewed and
 // this constant is bumped.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 static_assert(sizeof(EngineConfig) == 288,
-              "EngineConfig changed: review the process-mode plan "
+              "EngineConfig changed: review the worker plan "
               "serialisation (save_plan_file/load_plan_file) before "
               "bumping this size");
 #endif
 
-struct ProcessPlan {
+struct WorkerPlan {
   EngineConfig config;
-  std::uint32_t iteration = 0;
   std::uint32_t shards = 1;
   std::uint32_t threads_per_shard = 1;
-  std::vector<PartitionId> partition_owner;  // user -> partition
-  std::vector<PartitionId> shard_owner;      // user -> shard
 };
 
 void append_string(std::vector<std::byte>& out, const std::string& s) {
@@ -479,13 +431,12 @@ void append_string(std::vector<std::byte>& out, const std::string& s) {
   for (const char c : s) append_record(out, c);
 }
 
-void save_plan_file(const fs::path& path, const ProcessPlan& plan) {
+void save_plan_file(const fs::path& path, const WorkerPlan& plan) {
   const EngineConfig& config = plan.config;
   std::vector<std::byte> bytes;
-  bytes.reserve(128 + plan.partition_owner.size() * 2 * sizeof(PartitionId));
+  bytes.reserve(128);
   for (const char c : kPlanMagic) append_record(bytes, c);
   append_record(bytes, kPlanVersion);
-  append_record(bytes, plan.iteration);
   append_record(bytes, plan.shards);
   append_record(bytes, plan.threads_per_shard);
   append_record(bytes, config.k);
@@ -505,15 +456,11 @@ void save_plan_file(const fs::path& path, const ProcessPlan& plan) {
   append_string(bytes, config.io_model.name);
   append_record(bytes, config.io_model.seek_us);
   append_record(bytes, config.io_model.bytes_per_us);
-  append_record(bytes,
-                static_cast<std::uint32_t>(plan.partition_owner.size()));
-  for (const PartitionId p : plan.partition_owner) append_record(bytes, p);
-  for (const PartitionId p : plan.shard_owner) append_record(bytes, p);
   IoCounters counters;
   write_file(path, bytes, counters);
 }
 
-ProcessPlan load_plan_file(const fs::path& path) {
+WorkerPlan load_plan_file(const fs::path& path) {
   IoCounters counters;
   const std::vector<std::byte> bytes = read_file(path, counters);
   std::size_t offset = 0;
@@ -542,9 +489,8 @@ ProcessPlan load_plan_file(const fs::path& path) {
   if (version != kPlanVersion) {
     throw fail("unsupported version " + std::to_string(version));
   }
-  ProcessPlan plan;
+  WorkerPlan plan;
   EngineConfig& config = plan.config;
-  read(plan.iteration);
   read(plan.shards);
   read(plan.threads_per_shard);
   read(config.k);
@@ -578,17 +524,6 @@ ProcessPlan load_plan_file(const fs::path& path) {
   read_string(config.io_model.name);
   read(config.io_model.seek_us);
   read(config.io_model.bytes_per_us);
-  std::uint32_t n = 0;
-  read(n);
-  // Both ownership maps must actually fit in the remaining bytes before
-  // n drives any allocation (corrupt-header protection).
-  if (n > (bytes.size() - offset) / (2 * sizeof(PartitionId))) {
-    throw fail("vertex count exceeds file size");
-  }
-  plan.partition_owner.resize(n);
-  for (PartitionId& p : plan.partition_owner) read(p);
-  plan.shard_owner.resize(n);
-  for (PartitionId& p : plan.shard_owner) read(p);
   if (offset != bytes.size()) throw fail("trailing bytes");
   if (plan.shards == 0 || config.num_partitions == 0) {
     throw fail("degenerate shard/partition count");
@@ -596,88 +531,11 @@ ProcessPlan load_plan_file(const fs::path& path) {
   return plan;
 }
 
-/// Flattens an assignment into its owner vector for the plan file.
+/// Flattens an assignment into its owner vector for RUN_ITERATION.
 std::vector<PartitionId> owner_vector(const PartitionAssignment& a) {
   std::vector<PartitionId> owners(a.num_vertices());
   for (VertexId v = 0; v < a.num_vertices(); ++v) owners[v] = a.owner(v);
   return owners;
-}
-
-// ------------------------------------------------------ wave supervision --
-
-/// Spawns one worker process per pending shard for `wave`, waits with the
-/// configured deadline, verifies completion markers, retries failed
-/// shards exactly once, and throws with a per-worker diagnostic when a
-/// shard fails twice. Guarantees on exit: either every shard's outputs
-/// are complete on disk, or an exception — never a hang, never a merge
-/// of a failed worker's partial output (stale outputs of the pending
-/// shards are deleted before each attempt, and the atomically-written
-/// sidecar is the completion marker).
-void supervise_wave(const WaveContext& ctx, const ShardConfig& shard_config,
-                    const std::string& wave) {
-  const fs::path& work_dir = ctx.work_dir;
-  const bool consume = wave == "consume";
-  const std::string exe = shard_config.worker_exe.empty()
-                              ? current_executable().string()
-                              : shard_config.worker_exe;
-  std::vector<std::uint32_t> pending(ctx.shards);
-  for (std::uint32_t s = 0; s < ctx.shards; ++s) pending[s] = s;
-  std::vector<std::string> history(ctx.shards);
-
-  for (std::uint32_t attempt = 0; attempt < 2; ++attempt) {
-    // A stale file from a failed attempt must never masquerade as this
-    // attempt's output.
-    for (const std::uint32_t s : pending) {
-      std::error_code ec;
-      fs::remove(sidecar_path(work_dir, wave, s), ec);
-      if (consume) fs::remove(result_file_path(work_dir, s), ec);
-    }
-    std::vector<Subprocess> procs;
-    procs.reserve(pending.size());
-    for (const std::uint32_t s : pending) {
-      procs.emplace_back(std::vector<std::string>{
-          exe, "--shard-worker",
-          "--plan=" + plan_file_path(work_dir).string(), "--wave=" + wave,
-          "--shard=" + std::to_string(s),
-          "--attempt=" + std::to_string(attempt)});
-    }
-    const std::vector<SubprocessStatus> statuses =
-        wait_all(procs, shard_config.worker_timeout_s);
-
-    std::vector<std::uint32_t> failed;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const std::uint32_t s = pending[i];
-      std::string why;
-      if (!statuses[i].success()) {
-        why = statuses[i].describe();
-      } else if (!fs::exists(sidecar_path(work_dir, wave, s))) {
-        why = "exited 0 without writing its stats sidecar";
-      } else if (consume && !fs::exists(result_file_path(work_dir, s))) {
-        why = "exited 0 without writing its ShardResult";
-      }
-      if (!why.empty()) {
-        failed.push_back(s);
-        if (!history[s].empty()) history[s] += "; ";
-        history[s] += "attempt " + std::to_string(attempt) + ": " + why;
-      }
-    }
-    if (failed.empty()) return;
-    if (attempt == 0) {
-      for (const std::uint32_t s : failed) {
-        KNNPC_LOG(Warn) << "shard " << s << " " << wave
-                        << " worker failed (" << history[s]
-                        << "); re-executing once";
-      }
-      pending = std::move(failed);
-      continue;
-    }
-    std::string message =
-        "sharded " + wave + " wave failed after one retry:";
-    for (const std::uint32_t s : failed) {
-      message += "\n  shard " + std::to_string(s) + ": " + history[s];
-    }
-    throw std::runtime_error(message);
-  }
 }
 
 // ---------------------------------------------- persistent-worker protocol --
@@ -854,7 +712,7 @@ void spawn_persistent_worker(PersistentRuntime& rt,
     worker.proc = Subprocess(
         std::vector<std::string>{
             exe, "--shard-worker",
-            "--plan=" + plan_file_path(work_dir).string(), "--wave=serve",
+            "--plan=" + plan_file_path(work_dir).string(),
             "--shard=" + std::to_string(shard)},
         pair.child_read_fd, pair.child_write_fd);
     worker.channel = std::move(pair.parent);
@@ -966,12 +824,12 @@ struct PersistentIterationReply {
 /// Drives ONE full iteration across the persistent fleet: one heavy
 /// RUN_ITERATION command per worker carrying maps + G(t) + P(t) deltas,
 /// a PRODUCED reply per worker, one payload-free GO barrier, and an
-/// ITERATION_DONE reply per worker. Failure containment mirrors
-/// supervise_wave, per phase: a worker that dies, replies garbage, or
-/// misses the deadline during the produce phase is SIGKILLed and
-/// respawned exactly once with a full graph + profile resync, and its
-/// command replays verbatim (safe: no shard consumes before GO, so the
-/// respawn may rewrite its spools). During the consume phase the
+/// ITERATION_DONE reply per worker. Failure containment is per worker and
+/// per phase: a worker that dies, replies garbage, or misses the deadline
+/// during the produce phase is SIGKILLed and respawned exactly once with
+/// a full graph + profile resync, and its command replays verbatim (safe:
+/// no shard consumes before GO, so the respawn may rewrite its spools).
+/// During the consume phase the
 /// respawned worker gets a skip-produce command instead and re-runs only
 /// the consume wave against the dead incarnation's intact spools
 /// (PRODUCED is sent only after the spool sink flushed, so they are
@@ -1175,7 +1033,7 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
             throw std::runtime_error(
                 "sharded produce wave: command for shard " +
                 std::to_string(s) + " exceeds the IPC frame bound (" +
-                e.what() + "); use process mode for workloads of this "
+                e.what() + "); use thread mode for workloads of this "
                 "size");
           }
           send_ok[s] = false;
@@ -1318,7 +1176,7 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
             throw std::runtime_error(
                 "sharded consume wave: command for shard " +
                 std::to_string(s) + " exceeds the IPC frame bound (" +
-                e.what() + "); use process mode for workloads of this "
+                e.what() + "); use thread mode for workloads of this "
                 "size");
           }
           send_ok[s] = false;
@@ -1387,98 +1245,23 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
   return replies;
 }
 
-}  // namespace
-
 // ------------------------------------------------------ the worker role --
 
-int shard_worker_main(const fs::path& plan_file, const std::string& wave,
-                      std::uint32_t shard, std::uint32_t attempt) try {
+// PRODUCED and ITERATION_DONE carry ShardWorkerStats as a raw record
+// (append_record(reply, worker) below), which only works while the stats
+// structs stay trivially copyable; a std::string member added later must
+// come with a real serialiser.
+static_assert(std::is_trivially_copyable_v<IterationStats>);
+static_assert(std::is_trivially_copyable_v<ShardWorkerStats>);
+
+/// One persistent worker process: loads the static plan, opens the shared
+/// partition store and thread pool once, sends READY on stdout and then
+/// serves RUN_ITERATION / SHUTDOWN commands from stdin until shutdown or
+/// EOF (both exit 0). Protocol errors are reported on stderr and become a
+/// non-zero exit — the driver's respawn path takes over from there.
+int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
   const fs::path work_dir = plan_file.parent_path();
-  const ProcessPlan plan = load_plan_file(plan_file);
-  if (shard >= plan.shards) {
-    throw std::invalid_argument("shard " + std::to_string(shard) +
-                                " out of range (S=" +
-                                std::to_string(plan.shards) + ")");
-  }
-  const EngineConfig& config = plan.config;
-  const PartitionAssignment assignment(plan.partition_owner,
-                                       config.num_partitions);
-  const PartitionAssignment shard_owner(plan.shard_owner, plan.shards);
-  const WaveContext ctx{config,     plan.iteration,
-                        plan.shards, plan.threads_per_shard,
-                        assignment, shard_owner,
-                        work_dir};
-  const std::vector<VertexId> members = shard_owner.members(shard);
-  const PartitionStore store(work_dir / "partitions", config.io_model,
-                             config.storage_mode);
-  IoAccountant io(config.io_model);
-
-  ShardWorkerStats worker;
-  worker.shard = shard;
-  worker.users = static_cast<VertexId>(members.size());
-  worker.stats.iteration = plan.iteration;
-  worker.stats.threads_used = plan.threads_per_shard;
-  const auto fault_hook = [&] {
-    maybe_inject_fault(wave.c_str(), shard, attempt, plan.iteration);
-  };
-
-  if (wave == "produce") {
-    RecordShardWriter<Tuple> sink(
-        spools_dir(work_dir), routed_producer_stem(kSpoolStem, shard),
-        plan.shards,
-        std::max<std::size_t>(config.shard_buffer_bytes / plan.shards,
-                              sizeof(Tuple)),
-        &io);
-    produce_candidates(ctx, shard, members, store, sink, worker, fault_hook);
-    sink.finish();
-  } else if (wave == "consume") {
-    std::unique_ptr<ThreadPool> pool;
-    if (plan.threads_per_shard > 1) {
-      // The worker's main thread participates (same rule as everywhere).
-      pool = std::make_unique<ThreadPool>(plan.threads_per_shard - 1);
-    }
-    const KnnGraph prev = load_knn_graph_file(prev_graph_path(work_dir));
-    if (prev.num_vertices() != assignment.num_vertices()) {
-      throw std::runtime_error("shard_worker: G(t) snapshot vertex count "
-                               "does not match the plan");
-    }
-    ConsumerOutput out =
-        consume_candidates(ctx, shard, members, store, prev, pool.get(), &io,
-                           /*local_profiles=*/nullptr, worker, fault_hook);
-    ShardResult result;
-    result.shard = shard;
-    result.num_vertices = assignment.num_vertices();
-    result.k = config.k;
-    result.changed = out.changed;
-    result.entries.reserve(members.size());
-    for (const VertexId user : members) {
-      const auto list = out.next.neighbors(user);
-      result.entries.emplace_back(
-          user, std::vector<Neighbor>(list.begin(), list.end()));
-    }
-    save_shard_result_file(result_file_path(work_dir, shard), result);
-  } else {
-    std::fprintf(stderr, "shard_worker: unknown wave '%s'\n", wave.c_str());
-    return 2;
-  }
-
-  worker.stats.io = io.counters();
-  worker.stats.io += store.io().counters();
-  worker.stats.modeled_io_us = io.modeled_us() + store.io().modeled_us();
-  // Last write: the atomic sidecar is the completion marker the driver
-  // requires, so everything above must already be on disk.
-  save_worker_stats_file(sidecar_path(work_dir, wave, shard), worker);
-  return 0;
-} catch (const std::exception& e) {
-  std::fprintf(stderr, "shard_worker (%s wave, shard %u): %s\n",
-               wave.c_str(), shard, e.what());
-  return 12;
-}
-
-int persistent_shard_worker_main(const fs::path& plan_file,
-                                 std::uint32_t shard) try {
-  const fs::path work_dir = plan_file.parent_path();
-  const ProcessPlan plan = load_plan_file(plan_file);
+  const WorkerPlan plan = load_plan_file(plan_file);
   if (shard >= plan.shards) {
     throw std::invalid_argument("shard " + std::to_string(shard) +
                                 " out of range (S=" +
@@ -1549,6 +1332,12 @@ int persistent_shard_worker_main(const fs::path& plan_file,
     if (maps_included != 0) {
       std::uint32_t n = 0;
       read(n);
+      // Both maps must fit in the remaining payload before n drives any
+      // allocation (corrupt-frame protection).
+      if (n > (payload.size() - offset) / (2 * sizeof(PartitionId))) {
+        throw std::runtime_error(
+            "ownership maps exceed the RUN_ITERATION payload");
+      }
       std::vector<PartitionId> partition_owner(n);
       for (PartitionId& p : partition_owner) read(p);
       std::vector<PartitionId> owner(n);
@@ -1724,13 +1513,14 @@ int persistent_shard_worker_main(const fs::path& plan_file,
   return 13;
 }
 
+}  // namespace
+
 std::optional<int> maybe_run_shard_worker(int argc, char** argv) {
   bool is_worker = false;
   std::string plan;
-  std::string wave;
   std::uint32_t shard = 0;
-  std::uint32_t attempt = 0;
   bool have_shard = false;
+  std::string parse_error;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     auto value_of = [&](std::string_view prefix)
@@ -1741,44 +1531,31 @@ std::optional<int> maybe_run_shard_worker(int argc, char** argv) {
       }
       return std::nullopt;
     };
-    std::string parse_error;
-    auto parse_u32 = [&](const std::string& value, const char* flag,
-                         std::uint32_t& out) {
-      try {
-        out = static_cast<std::uint32_t>(std::stoul(value));
-      } catch (const std::exception&) {
-        parse_error = std::string("bad ") + flag + " value '" + value + "'";
-      }
-    };
     if (arg == "--shard-worker") {
       is_worker = true;
     } else if (auto v = value_of("--plan=")) {
       plan = *v;
-    } else if (auto v = value_of("--wave=")) {
-      wave = *v;
     } else if (auto v = value_of("--shard=")) {
-      parse_u32(*v, "--shard", shard);
-      have_shard = parse_error.empty();
-    } else if (auto v = value_of("--attempt=")) {
-      parse_u32(*v, "--attempt", attempt);
-    }
-    // A parse failure only matters in the worker role; a normal binary
-    // invocation must fall through to its own argv handling untouched.
-    if (!parse_error.empty() && is_worker) {
-      std::fprintf(stderr, "--shard-worker: %s\n", parse_error.c_str());
-      return 2;
+      try {
+        shard = static_cast<std::uint32_t>(std::stoul(*v));
+        have_shard = true;
+      } catch (const std::exception&) {
+        parse_error = "bad --shard value '" + *v + "'";
+      }
     }
   }
+  // A parse failure only matters in the worker role; a normal binary
+  // invocation must fall through to its own argv handling untouched.
   if (!is_worker) return std::nullopt;
-  if (plan.empty() || wave.empty() || !have_shard) {
-    std::fprintf(stderr,
-                 "--shard-worker requires --plan= --wave= --shard=\n");
+  if (!parse_error.empty()) {
+    std::fprintf(stderr, "--shard-worker: %s\n", parse_error.c_str());
     return 2;
   }
-  if (wave == "serve") {
-    return persistent_shard_worker_main(plan, shard);
+  if (plan.empty() || !have_shard) {
+    std::fprintf(stderr, "--shard-worker requires --plan= --shard=\n");
+    return 2;
   }
-  return shard_worker_main(plan, wave, shard, attempt);
+  return serve_shard_worker(plan, shard);
 }
 
 // ----------------------------------------------------------- the driver --
@@ -1792,7 +1569,7 @@ struct ShardedKnnEngine::Impl {
   /// (resolve_thread_count, as in the serial engine) divided by S.
   std::uint32_t threads_per_shard = 1;
   /// One pool per worker (nullptr when threads_per_shard == 1: the worker
-  /// thread itself is the one thread). Process mode leaves all slots
+  /// thread itself is the one thread). Persistent mode leaves all slots
   /// empty — each worker process builds its own pool.
   std::vector<std::unique_ptr<ThreadPool>> pools;
   /// Previous phase-1 assignment (reused when repartition_every > 1).
@@ -1994,15 +1771,14 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
   ShardedKnnGraph output(shard_owner, config_.k);
   std::vector<std::uint64_t> change_counts(S, 0);
   // I/O of the cross-shard exchange not already inside a worker's stats
-  // (thread mode: the shared spool accountant; process mode: nothing —
-  // workers account their own spool traffic in their sidecars).
+  // (thread mode: the shared spool accountant; persistent mode: nothing —
+  // workers account their own spool traffic in their replies).
   IoCounters exchange_io;
   double exchange_io_us = 0.0;
 
-  // Validates and folds one worker's ShardResult into the merged output —
-  // shared by the process (file handoff) and persistent (inline reply)
-  // paths; a worker can never smuggle a wrong-shaped or foreign-user
-  // result past this.
+  // Validates and folds one persistent worker's ShardResult into the
+  // merged output; a worker can never smuggle a wrong-shaped or
+  // foreign-user result past this.
   auto fold_result = [&](std::uint32_t s, ShardResult result) {
     if (result.shard != s || result.num_vertices != n ||
         result.k != config_.k) {
@@ -2030,63 +1806,14 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     change_counts[s] = result.changed;
   };
 
-  if (shard_config_.worker_mode == ShardWorkerMode::Process) {
-    // ---- Process mode: persist the plan + G(t), then supervise one
-    // child process per shard per wave.
-    ProcessPlan plan;
-    plan.config = config_;
-    plan.iteration = iteration_;
-    plan.shards = S;
-    plan.threads_per_shard = impl_->threads_per_shard;
-    plan.partition_owner = owner_vector(assignment);
-    plan.shard_owner = owner_vector(shard_owner);
-    save_plan_file(plan_file_path(impl_->work_dir), plan);
-    save_knn_graph_file(prev_graph_path(impl_->work_dir), graph_);
-    fs::create_directories(impl_->work_dir / "stats");
-    fs::create_directories(impl_->work_dir / "results");
-
-    supervise_wave(ctx, shard_config_, "produce");
-    supervise_wave(ctx, shard_config_, "consume");
-
-    // Process-mode "wire" traffic is the file handoff: the plan and the
-    // G(t) snapshot in, the sidecars and result out; the two process
-    // spawns per shard play the role of heavy round trips.
-    const std::uint64_t handoff_in =
-        fs::file_size(plan_file_path(impl_->work_dir)) +
-        fs::file_size(prev_graph_path(impl_->work_dir));
-    for (std::uint32_t s = 0; s < S; ++s) {
-      const ShardWorkerStats produced =
-          load_worker_stats_file(sidecar_path(impl_->work_dir, "produce", s));
-      const ShardWorkerStats consumed =
-          load_worker_stats_file(sidecar_path(impl_->work_dir, "consume", s));
-      ShardWorkerStats& worker = out.workers[s];
-      worker.stats = sum_iteration_stats({produced.stats, consumed.stats});
-      worker.stats.iteration = iteration_;
-      worker.stats.threads_used = impl_->threads_per_shard;
-      worker.produce_s = produced.produce_s;
-      worker.consume_s = consumed.consume_s;
-      worker.spooled_tuples = consumed.spooled_tuples;
-      worker.round_trips = 2;
-      worker.bytes_tx = handoff_in;
-      worker.bytes_rx =
-          fs::file_size(sidecar_path(impl_->work_dir, "produce", s)) +
-          fs::file_size(sidecar_path(impl_->work_dir, "consume", s)) +
-          fs::file_size(result_file_path(impl_->work_dir, s));
-      worker.partitions_touched = consumed.partitions_touched;
-      worker.profile_reads = consumed.profile_reads;
-
-      fold_result(s,
-                  load_shard_result_file(result_file_path(impl_->work_dir, s)));
-    }
-  } else if (shard_config_.worker_mode == ShardWorkerMode::Persistent) {
+  if (persistent) {
     // ---- Persistent mode: spawn the fleet once, then drive both waves
     // through framed commands carrying only deltas.
     PersistentRuntime& rt = impl_->persistent;
     if (!rt.plan_written) {
-      // The static plan: config + resolved budgets. Ownership maps and
-      // G(t) travel over the channel, so the maps here stay empty and
-      // plan.iteration is meaningless to a persistent worker.
-      ProcessPlan plan;
+      // The static plan: config + resolved budgets. Ownership maps, G(t)
+      // and P(t) travel over the channel.
+      WorkerPlan plan;
       plan.config = config_;
       plan.shards = S;
       plan.threads_per_shard = impl_->threads_per_shard;
@@ -2278,7 +2005,7 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     save_knn_graph_file(impl_->work_dir / "checkpoint_latest.knng", graph_);
   }
   if (config_.recall_samples > 0) {
-    // Thread mode reuses shard 0's pool; process mode has no driver-side
+    // Thread mode reuses shard 0's pool; persistent mode has no driver-side
     // pools, so spin one up for the estimator (it is O(samples * n) —
     // the pool spawn is noise next to it).
     ThreadPool* pool = impl_->pools[0].get();

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "core/engine.h"
 #include "graph/digraph.h"
+#include "profiles/similarity_kernels.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -151,6 +153,21 @@ std::uint64_t restart_candidates(VertexId s, VertexId n,
   }
   return emitted;
 }
+
+/// Phase 4's scoring of one PI-pair bundle: scores[i] = similarity of
+/// (tuples[i].s, tuples[i].d), profiles looked up in `primary` and, for a
+/// two-partition pair, `secondary` (nullptr otherwise). Tuple shards are
+/// grouped by source user (phase-2 emission order), so runs of equal s
+/// batch naturally: one score_batch call — one source-profile lookup and
+/// one warm source row — per run. Runs over `pool` when non-null; each
+/// (i, score) pairing is independent of chunking, so the parallel split
+/// cannot change results. The one scoring loop behind the serial engine
+/// and every shard consumer.
+void score_tuples(std::span<const Tuple> tuples,
+                  const FlatProfileSet& primary,
+                  const FlatProfileSet* secondary, SimilarityMeasure measure,
+                  KernelBackend backend, ThreadPool* pool,
+                  std::vector<float>& scores);
 
 /// Reference tuple generator for tests: all (s, d) with d a
 /// neighbour's-neighbour of s (s -> v -> d, s != d), via plain adjacency

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -120,18 +121,11 @@ std::uint16_t WorkerAgent::port() const noexcept { return listener_.port(); }
 
 namespace {
 
-void send_err(IpcChannel& channel, const std::string& message) {
-  std::vector<std::byte> payload;
-  payload.resize(message.size());
-  std::memcpy(payload.data(), message.data(), message.size());
-  channel.send(kErr, payload, kAgentFrameTimeoutS);
-}
-
-void send_ok(IpcChannel& channel, const std::string& message = {}) {
-  std::vector<std::byte> payload;
-  payload.resize(message.size());
-  std::memcpy(payload.data(), message.data(), message.size());
-  channel.send(kOk, payload, kAgentFrameTimeoutS);
+/// Sends a kOk / kErr reply whose payload is `message`'s bytes.
+void send_reply(IpcChannel& channel, std::uint32_t type,
+                const std::string& message = {}) {
+  channel.send(type, std::as_bytes(std::span<const char>(message)),
+               kAgentFrameTimeoutS);
 }
 
 }  // namespace
@@ -160,22 +154,24 @@ void WorkerAgent::run() {
       std::size_t offset = 0;
       const std::uint32_t version = get_u32(payload, offset, "hello");
       if (version != kProtocolVersion) {
-        send_err(channel, "agent speaks protocol version " +
-                              std::to_string(kProtocolVersion) + ", driver "
-                              "sent " + std::to_string(version));
+        send_reply(channel, kErr,
+                   "agent speaks protocol version " +
+                       std::to_string(kProtocolVersion) + ", driver sent " +
+                       std::to_string(version));
         return;
       }
       const std::string token = get_string(payload, offset, "hello token");
       if (hello.type == kHelloControl) {
-        send_ok(channel);
+        send_reply(channel, kOk);
         st.controls.push_back({std::move(channel), token});
         KNNPC_LOG(Info) << "worker agent: control connection for run '"
                         << token << "'";
         return;
       }
       if (hello.type != kHelloWorker) {
-        send_err(channel, "expected a hello frame, got type " +
-                              std::to_string(hello.type));
+        send_reply(channel, kErr,
+                   "expected a hello frame, got type " +
+                       std::to_string(hello.type));
         return;
       }
       const std::uint32_t shard = get_u32(payload, offset, "hello shard");
@@ -184,7 +180,7 @@ void WorkerAgent::run() {
       // the spawn the parent's fds are gone. A spawn failure past this
       // point surfaces to the driver as EOF where READY belongs, which
       // its supervision already treats as a worker death.
-      send_ok(channel);
+      send_reply(channel, kOk);
       const auto [read_fd, write_fd] = channel.release();
       const int child_stdout = ::dup(write_fd);
       if (child_stdout < 0) {
@@ -199,7 +195,7 @@ void WorkerAgent::run() {
             std::vector<std::string>{
                 exe, "--shard-worker",
                 "--plan=" + (run.run_dir / "plan.bin").string(),
-                "--wave=serve", "--shard=" + std::to_string(shard)},
+                "--shard=" + std::to_string(shard)},
             read_fd, child_stdout);
         KNNPC_LOG(Info) << "worker agent: spawned shard " << shard
                         << " for run '" << token << "'";
@@ -250,7 +246,7 @@ void WorkerAgent::run() {
           const FileBlob blob = parse_file_blob(frame.payload);
           sync_place_file(run.run_dir, blob.relpath, blob.bytes);
           run.files[blob.relpath] = fnv1a_bytes(blob.bytes);
-          send_ok(control.channel);
+          send_reply(control.channel, kOk);
           break;
         }
         case kFileGet: {
@@ -284,7 +280,7 @@ void WorkerAgent::run() {
           }
           it->second.kill_now();
           const std::string describe = it->second.wait().describe();
-          send_ok(control.channel, describe);
+          send_reply(control.channel, kOk, describe);
           break;
         }
         default:
@@ -293,7 +289,7 @@ void WorkerAgent::run() {
       }
     } catch (const std::exception& e) {
       try {
-        send_err(control.channel, e.what());
+        send_reply(control.channel, kErr, e.what());
       } catch (...) {
         return false;
       }

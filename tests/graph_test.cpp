@@ -392,6 +392,9 @@ TEST(KnnGraphDeltaTest, CorruptCountsCannotDriveHugeAllocations) {
   // reject it from the byte budget BEFORE reserving — a typed error, not
   // a 34 GB allocation.
   std::vector<std::byte> evil;
+  // Reserved up front: GCC 12 at -O3 otherwise misreads the inlined
+  // vector growth of the small appends below as out of bounds.
+  evil.reserve(64);
   for (const char c : {'K', 'D', 'L', 'T'}) append_record(evil, c);
   append_record(evil, std::uint32_t{1});           // version
   append_record(evil, std::uint32_t{10});          // n

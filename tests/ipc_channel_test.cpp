@@ -20,6 +20,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,9 +35,8 @@ namespace knnpc {
 namespace {
 
 std::vector<std::byte> bytes_of(const std::string& text) {
-  std::vector<std::byte> out(text.size());
-  std::memcpy(out.data(), text.data(), text.size());
-  return out;
+  const auto bytes = std::as_bytes(std::span<const char>(text));
+  return {bytes.begin(), bytes.end()};
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {

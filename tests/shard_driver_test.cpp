@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -229,6 +231,21 @@ TEST(ShardDriverTest, InvalidConfigsThrow) {
   config.memory_slots = 1;
   EXPECT_THROW(ShardedKnnEngine(config, ShardConfig{}, clustered(20, 2)),
                std::invalid_argument);
+}
+
+TEST(ShardDriverTest, WorkerModeParsingRejectsRetiredProcessMode) {
+  EXPECT_EQ(parse_worker_mode("thread"), ShardWorkerMode::Thread);
+  EXPECT_EQ(parse_worker_mode("persistent"), ShardWorkerMode::Persistent);
+  EXPECT_STREQ(worker_mode_name(ShardWorkerMode::Thread), "thread");
+  EXPECT_STREQ(worker_mode_name(ShardWorkerMode::Persistent), "persistent");
+  try {
+    (void)parse_worker_mode("process");
+    FAIL() << "the retired process mode still parses";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("thread | persistent"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------- resolve_shard_count --

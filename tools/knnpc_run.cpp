@@ -7,21 +7,19 @@
 //   knnpc_run --users=20000 --clusters=50 --heuristic=cost-aware
 //             --partitioner=greedy --threads=8 --device=hdd --csv
 //   knnpc_run --users=50000 --shards=4 --checkpoint --workdir=/tmp/run
-//   knnpc_run --users=50000 --shards=4 --worker-mode=process
 //   knnpc_run --users=50000 --shards=4 --iters=10 --worker-mode=persistent
 //   knnpc_run --worker-agent=127.0.0.1:7070 --agent-workdir=/tmp/agent
-//   knnpc_run --users=50000 --shards=4 --worker-mode=persistent \
+//   knnpc_run --users=50000 --shards=4 --worker-mode=persistent
 //             --worker-endpoint=127.0.0.1:7070
 //
 // With --csv the per-iteration table is machine-readable. --shards=S runs
 // the sharded driver (core/shard_driver.h); the KNN output is
 // bit-identical to --shards=1 for any S (the final checksum on stderr
-// makes that easy to verify). --worker-mode=process promotes the shard
-// workers from threads to supervised child processes (this same binary,
-// re-executed in the hidden --shard-worker role) — same checksum again.
-// --worker-mode=persistent keeps those processes alive across iterations
-// and drives them over pipes with per-iteration deltas, amortising the
-// spawn cost on multi-iteration runs — same checksum once more.
+// makes that easy to verify). --worker-mode=persistent promotes the
+// shard workers from threads to supervised child processes (this same
+// binary, re-executed in the hidden --shard-worker role), kept alive
+// across iterations and driven over pipes with per-iteration deltas —
+// same checksum again.
 // --worker-endpoint moves those persistent workers behind worker-agent
 // processes (started with --worker-agent on each machine) and the
 // commands ride TCP instead of pipes — same checksum over the network,
@@ -71,7 +69,7 @@ std::vector<std::string> split_csv(const std::string& value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Process-mode shard workers re-execute this binary; the worker role
+  // Persistent shard workers re-execute this binary; the worker role
   // must win before the option parser sees the hidden flags.
   if (const auto worker_exit = maybe_run_shard_worker(argc, argv)) {
     return *worker_exit;
@@ -107,13 +105,12 @@ int main(int argc, char** argv) {
                   "degree-range | greedy | pair-affinity)",
                   "range");
   opts.add_string("worker-mode",
-                  "how shard workers execute (thread | process | "
-                  "persistent)",
+                  "how shard workers execute (thread | persistent)",
                   "thread");
   opts.add_double("worker-timeout",
-                  "process/persistent modes: seconds one worker wave (or "
-                  "wave command) may run before the worker is killed and "
-                  "retried (< 0 = no deadline)",
+                  "persistent mode: seconds one worker wave command may "
+                  "run before the worker is killed and retried (< 0 = no "
+                  "deadline)",
                   600.0);
   opts.add_string("worker-endpoint",
                   "distributed persistent mode: comma-separated worker-"
@@ -270,6 +267,10 @@ int main(int argc, char** argv) {
   // --shards != 1 routes through the sharded driver; both paths expose
   // the same per-iteration IterationStats shape.
   const auto shards = static_cast<std::uint32_t>(opts.get_uint("shards"));
+  // Parsed even when --shards=1 ignores it, so an unknown mode fails
+  // loudly instead of being dropped.
+  const ShardWorkerMode worker_mode =
+      parse_worker_mode(opts.get_string("worker-mode"));
   std::unique_ptr<KnnEngine> engine;
   std::unique_ptr<ShardedKnnEngine> sharded;
   if (shards == 1) {
@@ -278,8 +279,7 @@ int main(int argc, char** argv) {
     ShardConfig shard_config;
     shard_config.shards = shards;
     shard_config.shard_partitioner = opts.get_string("shard-partitioner");
-    shard_config.worker_mode =
-        parse_worker_mode(opts.get_string("worker-mode"));
+    shard_config.worker_mode = worker_mode;
     shard_config.worker_timeout_s = opts.get_double("worker-timeout");
     shard_config.worker_endpoints =
         split_csv(opts.get_string("worker-endpoint"));
