@@ -128,8 +128,8 @@ int main(int argc, char** argv) {
     std::uint64_t persistent_profile_reads = 0;
     /// --agents only: the persistent sweep again, workers behind
     /// loopback-TCP agents. distributed_wall_s - persistent_wall_s is
-    /// the coordinator tax (run-dir sync + spool relay + TCP); the sync
-    /// counters total what the content-addressed sync moved vs skipped.
+    /// the coordinator tax (plan sync + frame-borne spools + TCP); the
+    /// sync counters total what the plan sync moved vs skipped.
     double distributed_wall_s = 0.0;
     std::uint64_t distributed_sync_files_tx = 0;
     std::uint64_t distributed_sync_bytes_tx = 0;

@@ -159,33 +159,45 @@ struct WaveContext {
   const EngineConfig& config;
   std::uint32_t iteration;
   std::uint32_t shards;
-  std::uint32_t threads_per_shard;
   const PartitionAssignment& assignment;   // user -> partition (m)
   const PartitionAssignment& shard_owner;  // user -> shard (S)
   fs::path work_dir;
 };
 
-/// Phase 2, producer wave for shard `w`: generate candidates, route by
-/// owner of the source user into `sink` (= spool files (w, *)). The
-/// caller flushes the sink (thread mode: RoutedShardWriter::finish after
-/// all producers join; persistent mode: the worker before its PRODUCED
-/// reply).
+/// Phase 2, producer wave for shard `w`: generate candidates from the
+/// partitions p ≡ w (mod S) plus the restarts of `members`, and route each
+/// by owner of the source user into `sink` (sink.add(consumer, tuple)).
+/// With a `store` (thread mode) the partitions' edge lists are streamed
+/// from the driver's phase-1 files; without one (a persistent worker)
+/// they are routed in memory from `graph` = G(t) by
+/// bucket_partition_edges, the routing write_all uses, so both paths see
+/// the same edge order. The caller flushes the sink (thread mode:
+/// RoutedShardWriter::finish after all producers join; persistent mode:
+/// the worker before its PRODUCED reply).
+template <typename Sink>
 void produce_candidates(const WaveContext& ctx, std::uint32_t w,
                         std::span<const VertexId> members,
-                        const PartitionStore& store,
-                        RecordShardWriter<Tuple>& sink,
-                        ShardWorkerStats& worker,
+                        const PartitionStore* store, const KnnGraph& graph,
+                        Sink& sink, ShardWorkerStats& worker,
                         const std::function<void()>& mid_wave_hook) {
   const EngineConfig& config = ctx.config;
   const VertexId n = ctx.assignment.num_vertices();
   const PartitionId m = ctx.assignment.num_partitions();
   Timer wall;
   ScopedAccumulator timing(&worker.stats.timings.hash_s);
+  std::vector<PartitionData> in_memory;
+  if (store == nullptr) {
+    std::vector<bool> wanted(m, false);
+    for (PartitionId p = w; p < m; p += ctx.shards) wanted[p] = true;
+    in_memory =
+        bucket_partition_edges(graph.to_edge_list(), ctx.assignment, wanted);
+  }
   // The serial engine's generator (core/tuple_generation.h): the same
   // per-partition and per-user streams, whichever worker runs them.
   auto route = [&](Tuple t) { sink.add(ctx.shard_owner.owner(t.s), t); };
   for (PartitionId p = w; p < m; p += ctx.shards) {
-    const PartitionData part = store.load_edges(p);
+    const PartitionData part =
+        store != nullptr ? store->load_edges(p) : std::move(in_memory[p]);
     worker.stats.candidate_tuples += partition_candidates(
         part.in_edges, part.out_edges, p, config, ctx.iteration, route);
   }
@@ -205,18 +217,27 @@ struct ConsumerOutput {
   std::uint64_t changed = 0;
 };
 
+/// Cross-agent spools a persistent consumer received inline in a GO (or
+/// skip-produce RUN_ITERATION) frame, indexed by producer: the raw Tuple
+/// bytes of spool (p, c), or nullopt where spool (p, c) is a file under
+/// the work dir. Empty = every spool is a file (thread mode, one agent).
+using InlineSpools = std::vector<std::optional<std::span<const std::byte>>>;
+
 /// Phases 2b-4, consumer wave for shard `c`: dedup the spooled tuples,
 /// build this shard's PI graph + schedule, stream the shared store, keep
 /// top-K for owned users, count changes against `prev` = G(t).
 ///
-/// `local_profiles` non-null redirects profile lookups to that store and
-/// loads partition vertex lists only (no .prof reads) — the
-/// persistent-worker path, where profiles arrive over the command channel
-/// as KPRD deltas.
-/// The values are identical either way, so the output graph is too.
+/// Thread mode passes the driver's `store` and reads profiles from its
+/// .prof files. A persistent worker passes no store and its
+/// `local_profiles` (P(t), synced over the command channel as KPRD
+/// deltas): phase 4 then scores from that copy and its cache "loads" a
+/// partition's member list from the assignment, so it reads no partition
+/// file yet keeps the load counts of the streaming path. The values are
+/// identical either way, so the output graph is too.
 ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
                                   std::span<const VertexId> members,
-                                  const PartitionStore& store,
+                                  const PartitionStore* store,
+                                  const InlineSpools& inline_spools,
                                   const KnnGraph& prev, ThreadPool* pool,
                                   IoAccountant* io,
                                   const ProfileStore* local_profiles,
@@ -240,20 +261,29 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
                                io);
   {
     ScopedAccumulator timing(&stats.timings.hash_s);
-    // Stream one producer's spool at a time — peak extra memory is the
+    // Stream one producer's spool at a time, in producer order p = 0..S-1
+    // whether it is a file or arrived inline — peak extra memory is the
     // largest single spool, not the whole pre-dedup stream. The expected
-    // record count comes from the spool file sizes, so both execution
-    // modes reserve identically.
+    // record count comes from the spool sizes, so every execution mode
+    // reserves identically.
+    auto inline_spool = [&](std::uint32_t p) {
+      return p < inline_spools.size() ? inline_spools[p] : std::nullopt;
+    };
+    auto spool_path = [&](std::uint32_t p) {
+      return routed_spool_path(spools_dir(ctx.work_dir), kSpoolStem, p, c);
+    };
     std::uint64_t expected = 0;
     for (std::uint32_t p = 0; p < S; ++p) {
-      expected += knnpc::file_size(routed_spool_path(
-                      spools_dir(ctx.work_dir), kSpoolStem, p, c)) /
+      const auto spool = inline_spool(p);
+      expected += (spool ? spool->size() : knnpc::file_size(spool_path(p))) /
                   sizeof(Tuple);
     }
     TupleTable table(expected);
     for (std::uint32_t p = 0; p < S; ++p) {
-      const std::vector<Tuple> chunk = read_record_shard<Tuple>(
-          routed_spool_path(spools_dir(ctx.work_dir), kSpoolStem, p, c), io);
+      const auto spool = inline_spool(p);
+      const std::vector<Tuple> chunk =
+          spool ? from_bytes<Tuple>(*spool)
+                : read_record_shard<Tuple>(spool_path(p), io);
       worker.spooled_tuples += chunk.size();
       for (const Tuple& t : chunk) {
         if (table.insert(t)) {
@@ -304,12 +334,16 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
     // straight into the flat (SoA) layout. Persistent path
     // (local_profiles): tuples may reference any user, so pack the
     // worker's whole P(t) once — O(total entries), amortised over the
-    // full wave — and load only vertex lists, which keeps the load
+    // full wave — and "load" only member lists, which keeps the load
     // counts of the streaming path.
     PartitionCache cache(config.memory_slots, [&](PartitionId p) {
-      return local_profiles != nullptr
-                 ? store.load_vertices(p)
-                 : store.load_flat(p, config.quantize_profiles, pool);
+      if (store != nullptr) {
+        return store->load_flat(p, config.quantize_profiles, pool);
+      }
+      PartitionData data;
+      data.id = p;
+      data.vertices = ctx.assignment.members(p);
+      return data;
     });
     const KernelBackend backend = resolve_kernel_backend(config.kernel);
     std::optional<FlatProfileSet> local_flat;
@@ -355,7 +389,7 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
     stats.partition_unloads = cache.unloads();
     worker.partitions_touched = pi.touched_partitions();
     // Each streaming load reads a .prof file; the persistent path's
-    // vertex-only loads never do.
+    // member-list loads never do.
     worker.profile_reads = local_profiles != nullptr ? 0 : cache.loads();
 
     ScopedAccumulator merge_timing(&stats.knn_merge_s);
@@ -393,9 +427,10 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
 
 // ---------------------------------------------------------- worker plan --
 // The plan file ("KPLN") carries the static part of what a worker process
-// needs: the wave-relevant EngineConfig fields and the resolved
-// shard/thread budget. Everything that changes per iteration (ownership
-// maps, G(t), P(t)) rides the RUN_ITERATION command instead. Same-build
+// needs: the wave-relevant EngineConfig fields, the resolved shard/thread
+// budget and the agent count (which spools cross machines). Everything
+// that changes per iteration (ownership maps, G(t), P(t)) rides the
+// RUN_ITERATION command instead. Same-build
 // producer and consumer (the worker IS the driver's binary).
 
 constexpr char kPlanMagic[4] = {'K', 'P', 'L', 'N'};
@@ -404,7 +439,9 @@ constexpr char kPlanMagic[4] = {'K', 'P', 'L', 'N'};
 // values, not the defaults).
 // v3: drops the iteration number and both ownership maps (RUN_ITERATION
 // carries them).
-constexpr std::uint32_t kPlanVersion = 3;
+// v4: adds the agent count, from which a worker derives which of its
+// spools travel inline in the iteration frames.
+constexpr std::uint32_t kPlanVersion = 4;
 
 // Tripwire: the plan file hand-serialises the wave-relevant subset of
 // EngineConfig. A field added to EngineConfig that the wave bodies read
@@ -424,6 +461,9 @@ struct WorkerPlan {
   EngineConfig config;
   std::uint32_t shards = 1;
   std::uint32_t threads_per_shard = 1;
+  /// Worker-agent endpoints E (0 = local fleet): shard s runs on agent
+  /// agent_of_shard(s, S, E).
+  std::uint32_t agents = 0;
 };
 
 void append_string(std::vector<std::byte>& out, const std::string& s) {
@@ -439,6 +479,7 @@ void save_plan_file(const fs::path& path, const WorkerPlan& plan) {
   append_record(bytes, kPlanVersion);
   append_record(bytes, plan.shards);
   append_record(bytes, plan.threads_per_shard);
+  append_record(bytes, plan.agents);
   append_record(bytes, config.k);
   append_record(bytes, config.num_partitions);
   append_record(bytes, static_cast<std::uint32_t>(config.measure));
@@ -493,6 +534,7 @@ WorkerPlan load_plan_file(const fs::path& path) {
   EngineConfig& config = plan.config;
   read(plan.shards);
   read(plan.threads_per_shard);
+  read(plan.agents);
   read(config.k);
   read(config.num_partitions);
   std::uint32_t measure = 0;
@@ -560,17 +602,30 @@ std::vector<PartitionId> owner_vector(const PartitionAssignment& a) {
 //                  touched; prof_full = every user).
 //                  skip_produce = the consume-phase respawn path: the
 //                  worker goes straight to the consume wave against the
-//                  dead incarnation's intact spools.
-//   GO             empty payload: the produce -> consume barrier. Sent to
-//                  each worker once every shard's PRODUCED arrived; the
-//                  worker then runs its consume wave.
+//                  dead incarnation's intact spool files, and the payload
+//                  ends with the worker's inline spool block (below).
+//   GO             the worker's inline spool block: the produce -> consume
+//                  barrier. Sent to each worker once every shard's
+//                  PRODUCED arrived; the worker then runs its consume wave.
 //   SHUTDOWN       empty payload; the worker exits 0
 // Worker -> driver replies:
-//   READY          u32 shard (sent once at startup, store already open)
-//   PRODUCED       raw ShardWorkerStats, produce-wave share (spools are
-//                  on disk by now)
+//   READY          u32 shard (sent once at startup)
+//   PRODUCED       raw ShardWorkerStats, produce-wave share, then the
+//                  producer's inline spool block (its file spools are on
+//                  disk by now)
 //   ITERATION_DONE raw ShardWorkerStats (consume-wave share), then
 //                  "KSHR" ShardResult bytes
+//
+// Spools: spool (p, c) holds the tuples producer p routed to consumer c.
+// When p and c run behind the same agent (or in a local fleet) it is a
+// file under the run dir, as in thread mode. When they run behind
+// different agents it is "inline": p ships it in PRODUCED, the driver
+// keeps those bytes until the iteration completes and forwards them in
+// c's GO (or in c's skip-produce replay). An inline spool block is
+//   u32 count, then count x {u32 peer, u32 tuples, tuples x Tuple}
+// with peers ascending — the consumers in PRODUCED, the producers in GO.
+// Which spools are inline follows from the plan's agent count alone, and
+// both ends check the block lists exactly those.
 //
 // Ownership maps ride along only when they changed since the last command
 // the worker saw (or after a respawn); on the default range shard
@@ -604,6 +659,61 @@ const char* frame_type_name(std::uint32_t type) {
     case kRspIterationDone: return "ITERATION_DONE";
   }
   return "?";
+}
+
+/// Shard -> endpoint: contiguous balanced groups (shard s belongs to
+/// endpoint s * E / S) — the one arithmetic the spawn path, the spool
+/// routing and the stats attribution must all agree on.
+std::uint32_t agent_of_shard(std::uint32_t shard, std::uint32_t shards,
+                             std::uint32_t agents) {
+  return static_cast<std::uint32_t>(
+      static_cast<std::uint64_t>(shard) * agents / shards);
+}
+
+/// Spool (p, c) is inline when producer and consumer run behind
+/// different agents (`agents` = E, 0 for a local fleet).
+bool spool_is_inline(std::uint32_t p, std::uint32_t c, std::uint32_t shards,
+                     std::uint32_t agents) {
+  return agents > 1 && agent_of_shard(p, shards, agents) !=
+                           agent_of_shard(c, shards, agents);
+}
+
+/// Parses an inline spool block at `offset` into spans over `payload`,
+/// indexed by peer. The block must list exactly the peers with
+/// `expected(peer)`, ascending, each with a whole number of tuples.
+InlineSpools read_spool_block(std::span<const std::byte> payload,
+                              std::size_t& offset, std::uint32_t shards,
+                              const std::function<bool(std::uint32_t)>&
+                                  expected) {
+  auto fail = [](const std::string& what) {
+    return std::runtime_error("inline spool block: " + what);
+  };
+  std::uint32_t count = 0;
+  if (!read_record(payload, offset, count)) throw fail("truncated count");
+  InlineSpools spools(shards);
+  std::uint32_t next_peer = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t peer = 0;
+    std::uint32_t tuples = 0;
+    if (!read_record(payload, offset, peer) ||
+        !read_record(payload, offset, tuples)) {
+      throw fail("truncated spool header");
+    }
+    if (peer < next_peer || peer >= shards || !expected(peer)) {
+      throw fail("unexpected peer " + std::to_string(peer));
+    }
+    const std::uint64_t bytes = std::uint64_t{tuples} * sizeof(Tuple);
+    if (bytes > payload.size() - offset) throw fail("truncated tuples");
+    spools[peer] = payload.subspan(offset, bytes);
+    offset += bytes;
+    next_peer = peer + 1;
+  }
+  for (std::uint32_t peer = 0; peer < shards; ++peer) {
+    if (expected(peer) && !spools[peer]) {
+      throw fail("missing spool of peer " + std::to_string(peer));
+    }
+  }
+  return spools;
 }
 
 void append_owner_maps(std::vector<std::byte>& out,
@@ -640,15 +750,6 @@ struct PersistentWorker {
   std::uint32_t resync_count = 0;
 };
 
-/// Shard -> endpoint: contiguous balanced groups (shard s belongs to
-/// endpoint s * E / S) — the one arithmetic the spawn path, the spool
-/// relay and the stats attribution must all agree on.
-std::uint32_t agent_of_shard(std::uint32_t shard, std::uint32_t shards,
-                             std::uint32_t agents) {
-  return static_cast<std::uint32_t>(
-      static_cast<std::uint64_t>(shard) * agents / shards);
-}
-
 /// One worker-agent endpoint the driver coordinates: its held control
 /// connection (run-long; dropping it is how the agent learns the run
 /// died) and this iteration's content-addressed transfer accounting,
@@ -670,7 +771,6 @@ struct PersistentRuntime {
   /// agent.
   std::vector<RemoteAgentLink> agents;
   std::string run_token;
-  bool plan_written = false;
   /// The last G broadcast to the fleet and its version counter —
   /// the base the next iteration's incremental delta diffs against.
   KnnGraph synced_graph;
@@ -692,9 +792,8 @@ void spawn_persistent_worker(PersistentRuntime& rt,
   if (!rt.agents.empty()) {
     // Distributed: the agent spawns the process on its machine and wires
     // the accepted socket to the worker's stdio — from here on the same
-    // protocol as a local pipe pair, including READY. The run's files
-    // were synced before any spawn (the worker opens its partition store
-    // at startup).
+    // protocol as a local pipe pair, including READY. The plan was
+    // synced before any spawn (the worker loads it at startup).
     worker.remote = true;
     worker.endpoint = agent_of_shard(
         shard, static_cast<std::uint32_t>(rt.workers.size()),
@@ -752,39 +851,29 @@ void ensure_agent_links(PersistentRuntime& rt,
   }
 }
 
-/// Ships this iteration's run files — the plan and the freshly rewritten
-/// partition store — to every shard-owning agent, content-addressed:
-/// each agent answers the manifest with the checksums it lacks and only
-/// those files transfer. Resets and charges the per-iteration transfer
-/// counters. Must complete before any worker (re)spawn.
+/// Ships the run's one file — the static plan — to every shard-owning
+/// agent, content-addressed: each agent answers the manifest with the
+/// checksums it lacks and only those files transfer. Charges the transfer
+/// counters. Runs once, when the fleet spawns: workers build their
+/// partitions from the synced G(t) and receive cross-agent spools in the
+/// iteration frames, so nothing else ever ships.
 void sync_agent_files(PersistentRuntime& rt, const ShardConfig& shard_config,
                       const fs::path& work_dir) {
   if (rt.agents.empty()) return;
   IoCounters scratch_io;
-  std::vector<SyncFileEntry> manifest;
-  {
-    SyncFileEntry plan;
-    plan.relpath = "plan.bin";
-    const std::vector<std::byte> bytes =
-        read_file(plan_file_path(work_dir), scratch_io);
-    plan.size = bytes.size();
-    plan.checksum = fnv1a_bytes(bytes);
-    manifest.push_back(std::move(plan));
-  }
-  for (SyncFileEntry entry : scan_sync_root(work_dir / "partitions")) {
-    entry.relpath = "partitions/" + entry.relpath;
-    manifest.push_back(std::move(entry));
-  }
-  const auto load = [&](const std::string& relpath) {
-    return read_file(work_dir / fs::path(relpath), scratch_io);
-  };
+  const std::vector<std::byte> plan_bytes =
+      read_file(plan_file_path(work_dir), scratch_io);
+  SyncFileEntry plan;
+  plan.relpath = "plan.bin";  // plan_file_path() relative to the run dir
+  plan.size = plan_bytes.size();
+  plan.checksum = fnv1a_bytes(plan_bytes);
   for (RemoteAgentLink& link : rt.agents) {
-    link.sync = AgentTransferCounters{};
     if (link.lowest_shard == std::numeric_limits<std::uint32_t>::max()) {
       continue;  // endpoint owns no shards (more endpoints than shards)
     }
-    link.sync += agent_sync_push(link.control, manifest, load,
-                                 shard_config.agent_timeout_s);
+    link.sync += agent_sync_push(
+        link.control, {plan}, [&](const std::string&) { return plan_bytes; },
+        shard_config.agent_timeout_s);
   }
 }
 
@@ -811,6 +900,10 @@ struct PersistentIterationReply {
   ShardWorkerStats produced;            // produce-wave share of the stats
   ShardWorkerStats consumed;            // consume-wave share of the stats
   std::vector<std::byte> result_bytes;  // "KSHR" payload
+  /// The PRODUCED payload, held until the iteration completes, and the
+  /// inline spools (this shard -> consumer c) as spans into it.
+  std::vector<std::byte> produced_payload;
+  InlineSpools spools;
   /// Channel traffic and heavy-command count for this worker this
   /// iteration (1 RUN_ITERATION on the steady path; a respawn replay
   /// adds one), plus the KPRD rows shipped — the driver folds these into
@@ -831,10 +924,11 @@ struct PersistentIterationReply {
 /// no shard consumes before GO, so the respawn may rewrite its spools).
 /// During the consume phase the
 /// respawned worker gets a skip-produce command instead and re-runs only
-/// the consume wave against the dead incarnation's intact spools
+/// the consume wave against the dead incarnation's intact spool files
 /// (PRODUCED is sent only after the spool sink flushed, so they are
-/// complete by construction). A second failure in the same phase throws
-/// with the per-worker diagnostic history. On return every shard's reply
+/// complete by construction) plus its inline spools, which the driver
+/// holds until the iteration completes. A second failure in the same
+/// phase throws with the per-worker diagnostic history. On return every shard's reply
 /// is complete; partial output can never be observed by the caller.
 std::vector<PersistentIterationReply> run_persistent_iteration(
     PersistentRuntime& rt, const ShardConfig& shard_config,
@@ -842,6 +936,7 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
     const KnnGraph& full_base_graph) {
   using Clock = std::chrono::steady_clock;
   const std::uint32_t S = static_cast<std::uint32_t>(rt.workers.size());
+  const auto E = static_cast<std::uint32_t>(rt.agents.size());
   const double timeout_s = shard_config.worker_timeout_s;
 
   // Delta payloads are memoised per iteration: the incremental deltas are
@@ -886,6 +981,35 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
   };
 
   std::vector<PersistentIterationReply> replies(S);
+
+  // Sends `head` followed by consumer c's inline spool block as one
+  // `type` frame; the tuple bytes go out straight from the producers'
+  // held PRODUCED payloads. Returns the frame's wire bytes.
+  auto send_with_spools = [&](std::uint32_t c, std::uint32_t type,
+                              std::span<const std::byte> head) {
+    std::vector<std::uint32_t> producers;
+    for (std::uint32_t p = 0; p < S; ++p) {
+      if (spool_is_inline(p, c, S, E)) producers.push_back(p);
+    }
+    // Every small header is laid out before any span into it is taken.
+    std::vector<std::byte> headers;
+    append_record(headers, static_cast<std::uint32_t>(producers.size()));
+    for (const std::uint32_t p : producers) {
+      append_record(headers, p);
+      append_record(headers, static_cast<std::uint32_t>(
+                                 replies[p].spools[c]->size() / sizeof(Tuple)));
+    }
+    const std::span<const std::byte> all(headers);
+    std::vector<std::span<const std::byte>> parts{head, all.first(4)};
+    for (std::size_t i = 0; i < producers.size(); ++i) {
+      parts.push_back(all.subspan(4 + 8 * i, 8));
+      parts.push_back(*replies[producers[i]].spools[c]);
+    }
+    rt.workers[c].channel.send_gather(type, parts, timeout_s);
+    std::size_t payload = 0;
+    for (const auto& part : parts) payload += part.size();
+    return frame_wire_bytes(payload);
+  };
 
   // The full command for one worker. Fullness is per worker and per
   // payload: a worker whose held version is not the broadcast base (a
@@ -1053,15 +1177,24 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
         if (!send_ok[s]) continue;
         PersistentWorker& worker = rt.workers[s];
         try {
-          const IpcFrame frame = collect_reply(s, kRspProduced);
-          const std::span<const std::byte> payload(frame.payload);
+          std::vector<std::byte> bytes =
+              collect_reply(s, kRspProduced).payload;
+          const std::span<const std::byte> payload(bytes);
           std::size_t offset = 0;
           ShardWorkerStats stats;
-          if (!read_record(payload, offset, stats) ||
-              offset != payload.size()) {
+          if (!read_record(payload, offset, stats)) {
             throw std::runtime_error("malformed PRODUCED payload");
           }
+          InlineSpools spools = read_spool_block(
+              payload, offset, S,
+              [&](std::uint32_t c) { return spool_is_inline(s, c, S, E); });
+          if (offset != payload.size()) {
+            throw std::runtime_error("trailing bytes in PRODUCED payload");
+          }
+          // Moving the vector keeps its buffer, so the spans stay valid.
           replies[s].produced = stats;
+          replies[s].produced_payload = std::move(bytes);
+          replies[s].spools = std::move(spools);
           // The worker observably holds what the command carried (it
           // applies every delta before its produce wave starts).
           worker.has_maps = true;
@@ -1104,40 +1237,10 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
     }
   }
 
-  // ---- Spool relay (distributed, several agents): spool (p, c) was
-  // written on p's machine but c consumes it on its own. Between the
-  // PRODUCED barrier (all spools complete on disk) and any GO, route
-  // every cross-agent spool through the driver, content-addressed like
-  // any other sync — a converged spool that did not change since the
-  // last iteration never re-transfers. A missing spool relays as empty
-  // bytes so the consumer-side file always exists. ----------------------
-  if (rt.agents.size() > 1) {
-    const auto E = static_cast<std::uint32_t>(rt.agents.size());
-    for (std::uint32_t p = 0; p < S; ++p) {
-      const std::uint32_t ep = agent_of_shard(p, S, E);
-      for (std::uint32_t c = 0; c < S; ++c) {
-        const std::uint32_t ec = agent_of_shard(c, S, E);
-        if (ep == ec) continue;
-        const std::string relpath =
-            routed_spool_path("spools", kSpoolStem, p, c).generic_string();
-        const FileBlob blob = agent_fetch_file(
-            rt.agents[ep].control, relpath, shard_config.agent_timeout_s);
-        SyncFileEntry entry;
-        entry.relpath = relpath;
-        entry.size = blob.bytes.size();
-        entry.checksum = fnv1a_bytes(blob.bytes);
-        RemoteAgentLink& dest = rt.agents[ec];
-        dest.sync += agent_sync_push(
-            dest.control, {entry},
-            [&](const std::string&) { return blob.bytes; },
-            shard_config.agent_timeout_s);
-      }
-    }
-  }
-
   // ---- Consume phase: GO out (the barrier — every shard has spooled by
-  // now), ITERATION_DONE back. A respawn replays with skip_produce
-  // instead of GO. -------------------------------------------------------
+  // now, and each GO carries its consumer's inline spools),
+  // ITERATION_DONE back. A respawn replays with skip_produce instead of
+  // GO. ------------------------------------------------------------------
   {
     std::vector<std::uint32_t> pending(S);
     for (std::uint32_t s = 0; s < S; ++s) pending[s] = s;
@@ -1158,18 +1261,17 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
         PersistentWorker& worker = rt.workers[s];
         try {
           if (attempt == 0) {
-            worker.channel.send(kCmdGo, std::vector<std::byte>{}, timeout_s);
-            replies[s].bytes_tx += frame_wire_bytes(0);
+            replies[s].bytes_tx += send_with_spools(s, kCmdGo, {});
           } else {
             // The respawned worker re-runs only the consume wave: the
-            // dead incarnation's spools are complete on disk, so
-            // re-producing would be wasted (and, with other shards
-            // mid-consume, unsafe).
+            // dead incarnation's spool files are complete on disk and
+            // its inline spools ride the command, so re-producing would
+            // be wasted (and, with other shards mid-consume, unsafe).
             const std::vector<std::byte> payload =
                 build_command(s, attempt, /*skip_produce=*/true);
             ++replies[s].round_trips;
-            worker.channel.send(kCmdRunIteration, payload, timeout_s);
-            replies[s].bytes_tx += frame_wire_bytes(payload.size());
+            replies[s].bytes_tx +=
+                send_with_spools(s, kCmdRunIteration, payload);
           }
         } catch (const IpcError& e) {
           if (e.kind() == IpcErrorKind::OversizedFrame) {
@@ -1254,11 +1356,60 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
 static_assert(std::is_trivially_copyable_v<IterationStats>);
 static_assert(std::is_trivially_copyable_v<ShardWorkerStats>);
 
-/// One persistent worker process: loads the static plan, opens the shared
-/// partition store and thread pool once, sends READY on stdout and then
-/// serves RUN_ITERATION / SHUTDOWN commands from stdin until shutdown or
-/// EOF (both exit 0). Protocol errors are reported on stderr and become a
-/// non-zero exit — the driver's respawn path takes over from there.
+/// A persistent producer's spool sink: spool (w, c) is a file when
+/// consumer c runs behind the producer's own agent, and an in-memory
+/// buffer, shipped in the PRODUCED reply, when it is inline.
+class ProducerSpoolSink {
+ public:
+  ProducerSpoolSink(RecordShardWriter<Tuple>& files, std::uint32_t producer,
+                    std::uint32_t shards, std::uint32_t agents)
+      : files_(files), inline_(shards), buffers_(shards) {
+    for (std::uint32_t c = 0; c < shards; ++c) {
+      inline_[c] = spool_is_inline(producer, c, shards, agents);
+    }
+  }
+
+  void add(std::size_t c, const Tuple& t) {
+    if (inline_[c]) {
+      buffers_[c].push_back(t);
+    } else {
+      files_.add(c, t);
+    }
+  }
+
+  /// Flushes the spool files and moves the inline spools into `out` as
+  /// an inline spool block.
+  void finish(std::vector<std::byte>& out) {
+    files_.finish();
+    const auto count = static_cast<std::uint32_t>(
+        std::count(inline_.begin(), inline_.end(), true));
+    append_record(out, count);
+    for (std::uint32_t c = 0; c < buffers_.size(); ++c) {
+      if (!inline_[c]) continue;
+      append_record(out, c);
+      append_record(out, static_cast<std::uint32_t>(buffers_[c].size()));
+      const std::size_t offset = out.size();
+      const std::size_t bytes = buffers_[c].size() * sizeof(Tuple);
+      out.resize(offset + bytes);
+      if (bytes > 0) {
+        std::memcpy(out.data() + offset, buffers_[c].data(), bytes);
+      }
+      buffers_[c] = {};
+    }
+  }
+
+ private:
+  RecordShardWriter<Tuple>& files_;
+  std::vector<bool> inline_;
+  std::vector<std::vector<Tuple>> buffers_;
+};
+
+/// One persistent worker process: loads the static plan, builds its
+/// thread pool once, sends READY on stdout and then serves RUN_ITERATION /
+/// SHUTDOWN commands from stdin until shutdown or EOF (both exit 0). It
+/// opens no partition store: its partitions come from the G(t) and P(t)
+/// it holds. Protocol errors are reported on stderr and become a non-zero
+/// exit — the driver's respawn path takes over from there.
 int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
   const fs::path work_dir = plan_file.parent_path();
   const WorkerPlan plan = load_plan_file(plan_file);
@@ -1268,12 +1419,7 @@ int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
                                 std::to_string(plan.shards) + ")");
   }
   const EngineConfig& config = plan.config;
-  // Opened ONCE and held — the point of staying alive. The store holds no
-  // state between load() calls, so the driver rewriting the partition
-  // files each iteration is safe by the same argument that makes the
-  // store concurrent-reader safe within one.
-  const PartitionStore store(work_dir / "partitions", config.io_model,
-                             config.storage_mode);
+  const std::uint32_t S = plan.shards;
   std::unique_ptr<ThreadPool> pool;
   if (plan.threads_per_shard > 1) {
     pool = std::make_unique<ThreadPool>(plan.threads_per_shard - 1);
@@ -1384,8 +1530,7 @@ int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
     }
 
     // Sync this worker's P(t) the same way. After iteration 0 only the
-    // changed rows travel; the shared store's .prof files are never read
-    // (the driver does not even write them in persistent mode).
+    // changed rows travel.
     {
       std::uint8_t full_sync = 0;
       std::int64_t base_version = -1;
@@ -1413,15 +1558,22 @@ int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
       apply_profile_delta(local_profiles, delta);
       profile_version = new_version;
     }
+    // This consumer's inline spools: the producers behind other agents.
+    const auto inline_producer = [&](std::uint32_t p) {
+      return spool_is_inline(p, shard, S, plan.agents);
+    };
+    InlineSpools inline_spools;
+    if (skip_produce != 0) {
+      inline_spools = read_spool_block(payload, offset, S, inline_producer);
+    }
     if (offset != payload.size()) {
       throw std::runtime_error("trailing bytes in RUN_ITERATION payload");
     }
 
-    const WaveContext ctx{config,      iteration,
-                          plan.shards, plan.threads_per_shard,
-                          *assignment, *shard_owner,
+    const WaveContext ctx{config, iteration, S, *assignment, *shard_owner,
                           work_dir};
 
+    IpcFrame go;  // holds the GO-borne inline spools through the consume
     if (skip_produce == 0) {
       // Produce phase: spool, report PRODUCED, then hold at the barrier
       // until every other shard has spooled too.
@@ -1431,31 +1583,24 @@ int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
       worker.stats.iteration = iteration;
       worker.stats.threads_used = plan.threads_per_shard;
       IoAccountant io(config.io_model);
-      // The held store's accountant runs for the whole process lifetime;
-      // this phase's share is the delta across it.
-      const IoCounters store_io_before = store.io().counters();
-      const double store_us_before = store.io().modeled_us();
       const auto fault_hook = [&] {
         maybe_inject_fault("produce", shard, attempt, iteration);
       };
-      RecordShardWriter<Tuple> sink(
-          spools_dir(work_dir), routed_producer_stem(kSpoolStem, shard),
-          plan.shards,
-          std::max<std::size_t>(config.shard_buffer_bytes / plan.shards,
-                                sizeof(Tuple)),
+      RecordShardWriter<Tuple> files(
+          spools_dir(work_dir), routed_producer_stem(kSpoolStem, shard), S,
+          std::max<std::size_t>(config.shard_buffer_bytes / S, sizeof(Tuple)),
           &io);
-      produce_candidates(ctx, shard, members, store, sink, worker,
-                         fault_hook);
-      sink.finish();
+      ProducerSpoolSink sink(files, shard, S, plan.agents);
+      produce_candidates(ctx, shard, members, /*store=*/nullptr, graph, sink,
+                         worker, fault_hook);
       worker.stats.io = io.counters();
-      worker.stats.io += store.io().counters() - store_io_before;
-      worker.stats.modeled_io_us =
-          io.modeled_us() + (store.io().modeled_us() - store_us_before);
+      worker.stats.modeled_io_us = io.modeled_us();
       std::vector<std::byte> reply;
       append_record(reply, worker);
+      sink.finish(reply);
       channel.send(kRspProduced, reply);
+      reply = {};
 
-      IpcFrame go;
       try {
         go = channel.recv();
       } catch (const IpcError& e) {
@@ -1469,6 +1614,12 @@ int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
         throw std::runtime_error(std::string("expected GO, got frame ") +
                                  frame_type_name(go.type));
       }
+      std::size_t go_offset = 0;
+      inline_spools =
+          read_spool_block(go.payload, go_offset, S, inline_producer);
+      if (go_offset != go.payload.size()) {
+        throw std::runtime_error("trailing bytes in GO payload");
+      }
     }
 
     // Consume phase, against this worker's synced G(t) and P(t).
@@ -1478,14 +1629,12 @@ int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
     worker.stats.iteration = iteration;
     worker.stats.threads_used = plan.threads_per_shard;
     IoAccountant io(config.io_model);
-    const IoCounters store_io_before = store.io().counters();
-    const double store_us_before = store.io().modeled_us();
     const auto fault_hook = [&] {
       maybe_inject_fault("consume", shard, attempt, iteration);
     };
-    ConsumerOutput out =
-        consume_candidates(ctx, shard, members, store, graph, pool.get(),
-                           &io, &local_profiles, worker, fault_hook);
+    ConsumerOutput out = consume_candidates(
+        ctx, shard, members, /*store=*/nullptr, inline_spools, graph,
+        pool.get(), &io, &local_profiles, worker, fault_hook);
     ShardResult result;
     result.shard = shard;
     result.num_vertices = assignment->num_vertices();
@@ -1498,9 +1647,7 @@ int serve_shard_worker(const fs::path& plan_file, std::uint32_t shard) try {
           user, std::vector<Neighbor>(list.begin(), list.end()));
     }
     worker.stats.io = io.counters();
-    worker.stats.io += store.io().counters() - store_io_before;
-    worker.stats.modeled_io_us =
-        io.modeled_us() + (store.io().modeled_us() - store_us_before);
+    worker.stats.modeled_io_us = io.modeled_us();
     std::vector<std::byte> reply;
     append_record(reply, worker);
     const std::vector<std::byte> result_bytes = shard_result_to_bytes(result);
@@ -1708,8 +1855,14 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
   const std::uint32_t S = impl_->shards;
   const bool persistent =
       shard_config_.worker_mode == ShardWorkerMode::Persistent;
-  PartitionStore store(impl_->work_dir / "partitions", config_.io_model,
-                       config_.storage_mode);
+  // Thread mode streams its partitions from files the driver writes in
+  // phase 1; persistent workers build theirs from the G(t) and P(t) they
+  // hold, so that mode writes no partition store at all.
+  std::optional<PartitionStore> store;
+  if (!persistent) {
+    store.emplace(impl_->work_dir / "partitions", config_.io_model,
+                  config_.storage_mode);
+  }
 
   // ---- Phase 1 (driver): partition G(t) once; split users into shards.
   double partition_s = 0.0;
@@ -1742,11 +1895,7 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
       shard_owner =
           make_partitioner(shard_config_.shard_partitioner)->assign(digraph, S);
     }
-    // Persistent workers hold P(t) locally (synced over the channel), so
-    // their store carries edges only — no .prof files are ever written,
-    // and partition-profile reads stay at zero from iteration 0.
-    store.write_all(edge_list, assignment, profiles_,
-                    /*include_profiles=*/!persistent);
+    if (store) store->write_all(edge_list, assignment, profiles_);
     if (config_.record_partition_cost) {
       partition_cost_total = partition_cost(digraph, assignment).total;
     }
@@ -1764,15 +1913,13 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     out.workers[s].stats.threads_used = impl_->threads_per_shard;
   }
 
-  const WaveContext ctx{config_,    iteration_,
-                       S,          impl_->threads_per_shard,
-                       assignment, shard_owner,
-                       impl_->work_dir};
+  const WaveContext ctx{config_,     iteration_,  S,
+                       assignment,  shard_owner, impl_->work_dir};
   ShardedKnnGraph output(shard_owner, config_.k);
   std::vector<std::uint64_t> change_counts(S, 0);
-  // I/O of the cross-shard exchange not already inside a worker's stats
-  // (thread mode: the shared spool accountant; persistent mode: nothing —
-  // workers account their own spool traffic in their replies).
+  // Driver-side I/O not already inside a worker's stats (thread mode: the
+  // phase-1 store and the shared spool accountant; persistent mode:
+  // nothing — workers account their own spool traffic in their replies).
   IoCounters exchange_io;
   double exchange_io_us = 0.0;
 
@@ -1810,23 +1957,21 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     // ---- Persistent mode: spawn the fleet once, then drive both waves
     // through framed commands carrying only deltas.
     PersistentRuntime& rt = impl_->persistent;
-    if (!rt.plan_written) {
-      // The static plan: config + resolved budgets. Ownership maps, G(t)
-      // and P(t) travel over the channel.
+    for (RemoteAgentLink& link : rt.agents) link.sync = {};
+    if (rt.workers.size() != S) {
+      // First iteration: write the static plan (config + resolved budgets
+      // + agent count; ownership maps, G(t) and P(t) travel over the
+      // channel), connect the agents and ship them the plan BEFORE any
+      // worker spawns — a worker loads its plan at startup.
       WorkerPlan plan;
       plan.config = config_;
       plan.shards = S;
       plan.threads_per_shard = impl_->threads_per_shard;
+      plan.agents =
+          static_cast<std::uint32_t>(shard_config_.worker_endpoints.size());
       save_plan_file(plan_file_path(impl_->work_dir), plan);
-      rt.plan_written = true;
-    }
-    // Distributed mode: connect the agent fleet once, then ship this
-    // iteration's plan + partition store (rewritten by phase 1 just
-    // above) content-addressed BEFORE any worker can spawn — a
-    // persistent worker opens its partition store at startup.
-    ensure_agent_links(rt, shard_config_, S);
-    sync_agent_files(rt, shard_config_, impl_->work_dir);
-    if (rt.workers.size() != S) {
+      ensure_agent_links(rt, shard_config_, S);
+      sync_agent_files(rt, shard_config_, impl_->work_dir);
       rt.workers = std::vector<PersistentWorker>(S);
       for (std::uint32_t s = 0; s < S; ++s) {
         spawn_persistent_worker(rt, shard_config_, impl_->work_dir, s);
@@ -1941,16 +2086,17 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     };
 
     run_wave([&](std::uint32_t w) {
-      produce_candidates(ctx, w, shard_members[w], store, spool.producer(w),
-                         out.workers[w], /*mid_wave_hook=*/{});
+      produce_candidates(ctx, w, shard_members[w], &*store, graph_,
+                         spool.producer(w), out.workers[w],
+                         /*mid_wave_hook=*/{});
     });
     spool.finish();
 
     run_wave([&](std::uint32_t c) {
       ConsumerOutput consumer_out = consume_candidates(
-          ctx, c, shard_members[c], store, graph_, impl_->pools[c].get(),
-          worker_io[c].get(), /*local_profiles=*/nullptr, out.workers[c],
-          /*mid_wave_hook=*/{});
+          ctx, c, shard_members[c], &*store, /*inline_spools=*/{}, graph_,
+          impl_->pools[c].get(), worker_io[c].get(),
+          /*local_profiles=*/nullptr, out.workers[c], /*mid_wave_hook=*/{});
       change_counts[c] = consumer_out.changed;
       output.set_shard(c, std::move(consumer_out.next));
     });
@@ -1960,7 +2106,8 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
       out.workers[s].stats.modeled_io_us = worker_io[s]->modeled_us();
     }
     exchange_io = spool_io.counters();
-    exchange_io_us = spool_io.modeled_us();
+    exchange_io += store->io().counters();
+    exchange_io_us = spool_io.modeled_us() + store->io().modeled_us();
   }
 
   // ---- Merge (driver): deterministic re-assembly from shard owners.
@@ -2020,9 +2167,8 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
             .recall;
   }
 
-  merged.io += store.io().counters();
   merged.io += exchange_io;
-  merged.modeled_io_us += store.io().modeled_us() + exchange_io_us;
+  merged.modeled_io_us += exchange_io_us;
 
   KNNPC_LOG(Info) << "sharded iteration " << iteration_ << " (S=" << S
                   << ", " << worker_mode_name(shard_config_.worker_mode)

@@ -1,10 +1,9 @@
-// Sharded execution driver: one engine worker per user shard over one
-// shared on-disk partition store.
+// Sharded execution driver: one engine worker per user shard.
 //
 // The paper's scaling argument is that the pipeline's phases communicate
 // only through files — partitions (phase 1 -> 2/4) and tuple shards
 // (phase 2 -> 4) — so nothing in memory has to be split to add workers.
-// This driver takes that literally:
+// Thread mode takes that literally:
 //
 //   driver   phase 1: partition G(t) once, write the shared partition
 //            store; split the user universe into S shards with a
@@ -20,6 +19,11 @@
 //            private 2-slot cache, and keep top-K for its users only.
 //   driver   merge the per-shard graphs (staticgraph/sharded_graph.h's
 //            ShardedKnnGraph) and run phase 5 on the shared profiles.
+//
+// Persistent workers hold G(t) and P(t) in memory anyway (synced as
+// deltas), so they build the same partitions there instead: the driver
+// writes no partition store in that mode, and spools between workers on
+// different agents travel in the iteration frames rather than as files.
 //
 // Determinism contract (mirrors PR 2's thread-count contract): the merged
 // G(t+1) is bit-identical to the serial KnnEngine's for the same
@@ -70,9 +74,8 @@ enum class ShardWorkerMode {
   Thread,
   /// S worker processes spawned ONCE per run and kept alive across
   /// iterations: the driver re-executes `ShardConfig::worker_exe` in the
-  /// hidden --shard-worker role; each worker opens the shared partition
-  /// store once and is then driven through a length-prefixed command
-  /// protocol over pipes (util/ipc_channel.h). One heavy RUN_ITERATION
+  /// hidden --shard-worker role; each worker is then driven through a
+  /// length-prefixed command protocol over pipes (util/ipc_channel.h). One heavy RUN_ITERATION
   /// command per iteration carries every per-iteration delta at once —
   /// ownership maps only when they changed, G(t) as a changed-rows
   /// knn_graph_delta, P(t) as a changed-users profile_delta — the
@@ -80,14 +83,17 @@ enum class ShardWorkerMode {
   /// frame, and the driver releases the produce -> consume barrier with
   /// a payload-free GO once every shard has spooled; the consume wave
   /// then replies ITERATION_DONE with stats + ShardResult inline.
-  /// Because profiles sync over the channel, persistent workers' phase 4
-  /// loads partition vertex lists only: the shared store never writes or
-  /// serves .prof files in this mode. Supervision: a worker that dies,
+  /// Workers build their partitions in memory — producer edge lists from
+  /// their G(t) copy (the routing PartitionStore::write_all uses), phase-4
+  /// member lists from the ownership maps, profiles from their P(t) copy
+  /// — so the driver writes no partition store in this mode and workers
+  /// read no partition file. Supervision: a worker that dies,
   /// replies garbage, or exceeds `worker_timeout_s` on one command is
   /// SIGKILLed and respawned exactly once with a full graph + profile
   /// resync, and the wave replays deterministically (a consume-phase
   /// respawn re-runs only the consume body against the dead
-  /// incarnation's intact spools); a second failure in the same wave
+  /// incarnation's intact spool files plus the inline spools the driver
+  /// still holds); a second failure in the same wave
   /// throws with per-worker diagnostics and leaves G(t) untouched.
   /// Output stays bit-identical to thread mode and to the serial engine.
   Persistent,
@@ -128,10 +134,11 @@ struct ShardConfig {
   /// one `knnpc_run --worker-agent` process each). Non-empty turns the
   /// driver into a cluster coordinator — EVERY worker runs behind an
   /// agent (shard s connects to endpoint s*E/S: contiguous balanced
-  /// shard groups), the plan + partition store sync to each agent
-  /// content-addressed by FNV-1a checksums (storage/file_sync.h), and
-  /// cross-agent spool traffic relays through the driver between the
-  /// produce and consume phases. Supervision (retry-once, full resync,
+  /// shard groups), the plan syncs to each agent once, content-addressed
+  /// by FNV-1a checksum (storage/file_sync.h), and a spool whose producer
+  /// and consumer sit behind different agents travels in the producer's
+  /// PRODUCED reply and the consumer's GO frame instead of as a file.
+  /// Supervision (retry-once, full resync,
   /// deadline kills) and the merged output are identical to local
   /// persistent mode — a remote worker kill mid-run still yields the
   /// serial engine's bit-exact graph. Requires worker_mode ==
@@ -139,7 +146,7 @@ struct ShardConfig {
   /// own binary).
   std::vector<std::string> worker_endpoints;
   /// Deadline for connecting to an agent and for each agent control
-  /// round-trip (sync, spool relay, remote kill). Same < 0 / 0 / > 0
+  /// round-trip (plan sync, remote kill). Same < 0 / 0 / > 0
   /// contract as worker_timeout_s.
   double agent_timeout_s = 30.0;
 };
@@ -180,14 +187,14 @@ struct ShardWorkerStats {
   /// (persistent mode): the churned users on the steady path, all n on a
   /// respawn resync — how tests pin "a resync carries a full snapshot".
   std::uint64_t profile_rows_rx = 0;
-  /// Distributed mode: content-addressed transfer accounting for this
-  /// worker's agent endpoint this iteration, attributed to the
+  /// Distributed mode: content-addressed run-dir transfer accounting for
+  /// this worker's agent endpoint this iteration, attributed to the
   /// endpoint's LOWEST shard (zero on the endpoint's other shards and in
   /// every local mode). Files/bytes actually shipped vs skipped because
-  /// the agent already held an identical checksum — "unchanged
-  /// partitions never re-transfer", in numbers. Cross-agent spool relays
-  /// count on the destination endpoint (shipped or, when the identical
-  /// spool was already pushed, skipped).
+  /// the agent already held an identical checksum. The plan is the only
+  /// file a run ships, on its first iteration, so every later iteration
+  /// reads zero here. (Cross-agent spools are frame traffic: they count
+  /// in bytes_tx / bytes_rx.)
   std::uint64_t sync_files_tx = 0;
   std::uint64_t sync_bytes_tx = 0;
   std::uint64_t sync_files_skipped = 0;
@@ -283,15 +290,17 @@ class ShardedKnnEngine {
 /// normal argv parsing. Call this FIRST in main() — worker argv is not
 /// meant for the normal option parsers.
 ///
-/// The worker loads the driver's static plan, opens the shared partition
-/// store and thread pool once, sends a READY frame on stdout and then
+/// The worker loads the driver's static plan, builds its thread pool
+/// once, sends a READY frame on stdout and then
 /// serves RUN_ITERATION / SHUTDOWN commands from stdin until shutdown or
 /// EOF (both exit 0). Each RUN_ITERATION applies the shipped ownership /
-/// graph / profile deltas, runs the produce wave, replies PRODUCED, waits
-/// for the driver's GO barrier and runs the consume wave against its
-/// worker-local profile store, replying ITERATION_DONE (a skip-produce
-/// command — the consume-phase respawn path — goes straight to the
-/// consume body). Protocol errors are reported on stderr and become a
+/// graph / profile deltas, runs the produce wave on partitions routed
+/// from its G(t), replies PRODUCED (with its cross-agent spools), waits
+/// for the driver's GO barrier (with the spools other agents' producers
+/// sent it) and runs the consume wave against its worker-local profile
+/// store, replying ITERATION_DONE (a skip-produce command — the
+/// consume-phase respawn path — carries those spools itself and goes
+/// straight to the consume body). Protocol errors are reported on stderr and become a
 /// non-zero exit — the driver's respawn path takes over from there.
 std::optional<int> maybe_run_shard_worker(int argc, char** argv);
 

@@ -1,5 +1,6 @@
 #include "core/worker_agent.h"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -81,7 +82,7 @@ std::string sanitize_token(const std::string& token) {
 }
 
 /// Inner timeout for the frames of an already-initiated exchange. Long
-/// enough for a partition blob over a congested link, short enough that
+/// enough for a file blob over a congested link, short enough that
 /// a half-connected peer cannot wedge the single-threaded agent forever.
 constexpr double kAgentFrameTimeoutS = 60.0;
 
@@ -182,7 +183,12 @@ void WorkerAgent::run() {
       // its supervision already treats as a worker death.
       send_reply(channel, kOk);
       const auto [read_fd, write_fd] = channel.release();
-      const int child_stdout = ::dup(write_fd);
+      // CLOEXEC like the accepted socket itself: a plain dup() would leak
+      // into any process another thread of this process forks meanwhile
+      // (two in-process agents spawning at once), and that stray copy
+      // keeps the socket open after the worker dies — the driver then
+      // sees no EOF and waits out its full deadline instead.
+      const int child_stdout = ::fcntl(write_fd, F_DUPFD_CLOEXEC, 0);
       if (child_stdout < 0) {
         ::close(read_fd);
         KNNPC_LOG(Warn) << "worker agent: dup failed for shard " << shard;
@@ -247,26 +253,6 @@ void WorkerAgent::run() {
           sync_place_file(run.run_dir, blob.relpath, blob.bytes);
           run.files[blob.relpath] = fnv1a_bytes(blob.bytes);
           send_reply(control.channel, kOk);
-          break;
-        }
-        case kFileGet: {
-          std::size_t offset = 0;
-          const std::string relpath =
-              get_string(frame.payload, offset, "FileGet relpath");
-          if (!is_safe_relpath(relpath)) {
-            throw std::runtime_error("unsafe relpath \"" + relpath + "\"");
-          }
-          FileBlob blob;
-          blob.relpath = relpath;
-          const fs::path path = run.run_dir / fs::path(relpath);
-          std::error_code ec;
-          if (fs::is_regular_file(path, ec)) {
-            IoCounters counters;
-            blob.bytes = read_file(path, counters);
-            blob.exists = true;
-          }
-          control.channel.send(kFileData, serialize_file_blob(blob),
-                               kAgentFrameTimeoutS);
           break;
         }
         case kKillWorker: {
@@ -473,7 +459,6 @@ AgentTransferCounters agent_sync_push(
     }
     FileBlob blob;
     blob.relpath = entry.relpath;
-    blob.exists = true;
     blob.bytes = load(entry.relpath);
     control_round_trip(control, kFilePut, serialize_file_blob(blob), kOk,
                        timeout_s);
@@ -481,15 +466,6 @@ AgentTransferCounters agent_sync_push(
     counters.bytes_tx += blob.bytes.size();
   }
   return counters;
-}
-
-FileBlob agent_fetch_file(IpcChannel& control, const std::string& relpath,
-                          double timeout_s) {
-  std::vector<std::byte> payload;
-  put_string(payload, relpath);
-  const IpcFrame reply =
-      control_round_trip(control, kFileGet, payload, kFileData, timeout_s);
-  return parse_file_blob(reply.payload);
 }
 
 std::string agent_kill_worker(IpcChannel& control, std::uint32_t shard,

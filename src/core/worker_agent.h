@@ -7,11 +7,13 @@
 // it, both framed IpcChannel streams (util/ipc_channel.h):
 //
 //   * One CONTROL connection per agent, held for the whole run. Over it
-//     the driver ships the run's files content-addressed (manifest of
-//     FNV-1a checksums -> the agent answers which it lacks -> only those
-//     transfer; storage/file_sync.h owns the formats), relays spool
-//     files between agents, and kills remote workers by shard id when
-//     supervision demands it.
+//     the driver ships the run's one file, the worker plan,
+//     content-addressed (manifest of FNV-1a checksums -> the agent
+//     answers which it lacks -> only those transfer; storage/file_sync.h
+//     owns the formats), and kills remote workers by shard id when
+//     supervision demands it. Nothing else crosses it: workers build
+//     their partitions from the G(t) they are sent, and spools between
+//     agents ride the workers' own iteration frames.
 //   * One WORKER connection per shard. After a short hello the agent
 //     spawns `<worker_exe> --shard-worker --plan= --shard=` with the
 //     accepted socket as the child's stdin AND stdout — the persistent
@@ -64,9 +66,6 @@ constexpr std::uint32_t kSyncManifest = 202;
 /// Driver -> agent (control): one FileBlob to place under the run dir.
 /// The agent answers OK.
 constexpr std::uint32_t kFilePut = 203;
-/// Driver -> agent (control): string relpath to fetch. The agent
-/// answers FILE_DATA (exists = 0 for a missing file).
-constexpr std::uint32_t kFileGet = 204;
 /// Driver -> agent (control): u32 shard to SIGKILL. The agent answers
 /// OK whose payload is the dead worker's status description — the
 /// remote stand-in for Subprocess::status().describe().
@@ -79,8 +78,6 @@ constexpr std::uint32_t kErr = 211;
 /// indices into the manifest the agent wants transferred (everything
 /// else already matches by checksum and is skipped).
 constexpr std::uint32_t kNeed = 212;
-/// Agent -> driver, reply to FileGet: a FileBlob.
-constexpr std::uint32_t kFileData = 213;
 }  // namespace agent_frame
 
 struct WorkerAgentConfig {
@@ -163,10 +160,6 @@ AgentTransferCounters agent_sync_push(
     IpcChannel& control, const std::vector<SyncFileEntry>& manifest,
     const std::function<std::vector<std::byte>(const std::string&)>& load,
     double timeout_s);
-
-/// Fetches one file from the agent's run dir (exists = false when absent).
-FileBlob agent_fetch_file(IpcChannel& control, const std::string& relpath,
-                          double timeout_s);
 
 /// SIGKILLs remote worker `shard`; returns its status description.
 std::string agent_kill_worker(IpcChannel& control, std::uint32_t shard,

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "storage/block_file.h"
-#include "util/fnv.h"
 
 namespace knnpc {
 namespace {
@@ -54,33 +53,6 @@ std::string take_string(std::span<const std::byte> bytes, std::size_t& offset,
 
 }  // namespace
 
-std::uint64_t file_checksum(const std::filesystem::path& path) {
-  IoCounters counters;
-  return fnv1a_bytes(read_file(path, counters));
-}
-
-std::vector<SyncFileEntry> scan_sync_root(const std::filesystem::path& root) {
-  std::vector<SyncFileEntry> entries;
-  std::error_code ec;
-  if (!std::filesystem::is_directory(root, ec)) return entries;
-  IoCounters counters;
-  for (const auto& item :
-       std::filesystem::recursive_directory_iterator(root)) {
-    if (!item.is_regular_file()) continue;
-    SyncFileEntry entry;
-    entry.relpath = item.path().lexically_relative(root).generic_string();
-    const std::vector<std::byte> bytes = read_file(item.path(), counters);
-    entry.size = bytes.size();
-    entry.checksum = fnv1a_bytes(bytes);
-    entries.push_back(std::move(entry));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const SyncFileEntry& a, const SyncFileEntry& b) {
-              return a.relpath < b.relpath;
-            });
-  return entries;
-}
-
 std::vector<std::byte> serialize_manifest(
     const std::vector<SyncFileEntry>& entries) {
   std::vector<std::byte> out;
@@ -115,7 +87,6 @@ std::vector<SyncFileEntry> parse_manifest(std::span<const std::byte> bytes) {
 std::vector<std::byte> serialize_file_blob(const FileBlob& blob) {
   std::vector<std::byte> out;
   append_string(out, blob.relpath);
-  out.push_back(static_cast<std::byte>(blob.exists ? 1 : 0));
   out.insert(out.end(), blob.bytes.begin(), blob.bytes.end());
   return out;
 }
@@ -124,7 +95,6 @@ FileBlob parse_file_blob(std::span<const std::byte> bytes) {
   std::size_t offset = 0;
   FileBlob blob;
   blob.relpath = take_string(bytes, offset, "file blob");
-  blob.exists = take_scalar<std::uint8_t>(bytes, offset, "file blob") != 0;
   blob.bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
                     bytes.end());
   return blob;

@@ -1,16 +1,17 @@
 // Content-addressed file shipping for distributed shard execution.
 //
-// The driver and a remote worker agent (core/worker_agent.h) reconcile a
-// directory tree by exchanging a *manifest* — relative path, size and
-// FNV-1a checksum per file — and transferring only the files whose
-// checksum the receiver does not already hold. The checksums are the same
-// FNV-1a the engine uses everywhere else (util/fnv.h), so an unchanged
-// partition file never re-transfers: its bytes hash identically on both
-// sides and the receiver answers "already have it".
+// The driver and a remote worker agent (core/worker_agent.h) reconcile
+// files by exchanging a *manifest* — relative path, size and FNV-1a
+// checksum per file — and transferring only the files whose checksum the
+// receiver does not already hold. The checksums are the same FNV-1a the
+// engine uses everywhere else (util/fnv.h), so an unchanged file never
+// re-transfers: its bytes hash identically on both sides and the receiver
+// answers "already have it". (Today the one file a run ships is the
+// worker plan.)
 //
 // Nothing here owns a socket; the agent protocol moves these blobs as
 // IpcChannel frame payloads. This module owns the byte formats and the
-// filesystem side (scan, checksum, safe atomic placement).
+// receiving filesystem side (safe atomic placement).
 #pragma once
 
 #include <cstddef>
@@ -31,15 +32,6 @@ struct SyncFileEntry {
   std::uint64_t checksum = 0;
 };
 
-/// FNV-1a checksum of a file's content. Throws std::runtime_error when
-/// the file cannot be read.
-std::uint64_t file_checksum(const std::filesystem::path& path);
-
-/// Scans `root` recursively and returns one entry per regular file,
-/// sorted by relpath (deterministic manifests make transfer accounting
-/// reproducible). A missing root yields an empty manifest.
-std::vector<SyncFileEntry> scan_sync_root(const std::filesystem::path& root);
-
 /// Manifest wire format: u32 count, then per entry u32 relpath length,
 /// relpath bytes, u64 size, u64 checksum.
 std::vector<std::byte> serialize_manifest(
@@ -47,13 +39,10 @@ std::vector<std::byte> serialize_manifest(
 /// Throws std::runtime_error on a malformed manifest payload.
 std::vector<SyncFileEntry> parse_manifest(std::span<const std::byte> bytes);
 
-/// File blob wire format (FilePut / FileData payloads): u32 relpath
-/// length, relpath bytes, u8 exists flag, content bytes. `exists = 0`
-/// (an empty blob) lets a file-fetch report "no such file" in-band —
-/// spool relays treat a missing spool as legitimately empty.
+/// File blob wire format (FilePut payload): u32 relpath length, relpath
+/// bytes, content bytes.
 struct FileBlob {
   std::string relpath;
-  bool exists = false;
   std::vector<std::byte> bytes;
 };
 

@@ -50,10 +50,63 @@ std::vector<std::byte> PartitionStore::fetch(const fs::path& path) const {
   return bytes;
 }
 
+std::vector<PartitionData> bucket_partition_edges(
+    const EdgeList& graph, const PartitionAssignment& assignment,
+    const std::vector<bool>& wanted) {
+  const PartitionId m = assignment.num_partitions();
+  const VertexId n = assignment.num_vertices();
+  if (!wanted.empty() && wanted.size() != m) {
+    throw std::invalid_argument(
+        "bucket_partition_edges: wanted mask size != partition count");
+  }
+  auto keep = [&](PartitionId p) { return wanted.empty() || wanted[p]; };
+  std::vector<PartitionData> parts(m);
+  for (PartitionId p = 0; p < m; ++p) parts[p].id = p;
+
+  // Counting sort: group the edges of wanted partitions under their
+  // bridge vertex, order each group by the other endpoint, and append the
+  // groups to their partitions in ascending bridge order. That is the
+  // sorted order itself (unique, since equal edges are indistinguishable)
+  // in O(edges + n) plus k-sized group sorts.
+  auto route = [&](auto bridge_of, auto less,
+                   std::vector<Edge> PartitionData::*list) {
+    std::vector<std::size_t> start(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<std::size_t> sizes(m, 0);
+    for (const Edge& e : graph.edges) {
+      const VertexId bridge = bridge_of(e);
+      const PartitionId p = assignment.owner(bridge);  // bounds-checked
+      if (!keep(p)) continue;
+      ++start[bridge + 1];
+      ++sizes[p];
+    }
+    for (VertexId v = 0; v < n; ++v) start[v + 1] += start[v];
+    std::vector<Edge> grouped(start[n]);
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    for (const Edge& e : graph.edges) {
+      const VertexId bridge = bridge_of(e);
+      if (keep(assignment.owner(bridge))) grouped[fill[bridge]++] = e;
+    }
+    for (PartitionId p = 0; p < m; ++p) (parts[p].*list).reserve(sizes[p]);
+    for (VertexId v = 0; v < n; ++v) {
+      const auto first = grouped.begin() + static_cast<std::ptrdiff_t>(start[v]);
+      const auto last =
+          grouped.begin() + static_cast<std::ptrdiff_t>(start[v + 1]);
+      if (first == last) continue;
+      std::sort(first, last, less);
+      std::vector<Edge>& out = parts[assignment.owner(v)].*list;
+      out.insert(out.end(), first, last);
+    }
+  };
+  route([](const Edge& e) { return e.dst; }, in_edge_less,
+        &PartitionData::in_edges);
+  route([](const Edge& e) { return e.src; }, std::less<Edge>{},
+        &PartitionData::out_edges);
+  return parts;
+}
+
 void PartitionStore::write_all(const EdgeList& graph,
                                const PartitionAssignment& assignment,
-                               const ProfileStore& profiles,
-                               bool include_profiles) {
+                               const ProfileStore& profiles) {
   if (graph.num_vertices != assignment.num_vertices()) {
     throw std::invalid_argument(
         "PartitionStore::write_all: graph/assignment size mismatch");
@@ -63,42 +116,24 @@ void PartitionStore::write_all(const EdgeList& graph,
         "PartitionStore::write_all: assignment incomplete");
   }
   m_ = assignment.num_partitions();
-
-  // Bucket edges by the partition of their bridge vertex. Edge (s, d) acts
-  // as an in-edge of owner(d) (bridge d) and as an out-edge of owner(s)
-  // (bridge s).
-  std::vector<std::vector<Edge>> in_bucket(m_);
-  std::vector<std::vector<Edge>> out_bucket(m_);
-  for (const Edge& e : graph.edges) {
-    in_bucket[assignment.owner(e.dst)].push_back(e);
-    out_bucket[assignment.owner(e.src)].push_back(e);
-  }
+  const std::vector<PartitionData> parts =
+      bucket_partition_edges(graph, assignment);
 
   IoCounters raw;  // write_file wants a counter; we fold into io_ below.
   for (PartitionId p = 0; p < m_; ++p) {
-    // Sort by bridge: in-edges (s, v) by v = dst (then s); out-edges
-    // (v, d) by v = src (then d).
-    std::sort(in_bucket[p].begin(), in_bucket[p].end(),
-              [](const Edge& a, const Edge& b) {
-                return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-              });
-    std::sort(out_bucket[p].begin(), out_bucket[p].end());
-
     const auto members = assignment.members(p);
-    const auto in_bytes = to_bytes(in_bucket[p]);
-    const auto out_bytes = to_bytes(out_bucket[p]);
+    const auto in_bytes = to_bytes(parts[p].in_edges);
+    const auto out_bytes = to_bytes(parts[p].out_edges);
     write_file(file(p, ".in"), in_bytes, raw);
     write_file(file(p, ".out"), out_bytes, raw);
     io_.charge_write(in_bytes.size());
     io_.charge_write(out_bytes.size());
-    if (include_profiles) {
-      std::vector<SparseProfile> member_profiles;
-      member_profiles.reserve(members.size());
-      for (VertexId v : members) member_profiles.push_back(profiles.get(v));
-      const auto prof_bytes = pack_profiles(member_profiles);
-      write_file(file(p, ".prof"), prof_bytes, raw);
-      io_.charge_write(prof_bytes.size());
-    }
+    std::vector<SparseProfile> member_profiles;
+    member_profiles.reserve(members.size());
+    for (VertexId v : members) member_profiles.push_back(profiles.get(v));
+    const auto prof_bytes = pack_profiles(member_profiles);
+    write_file(file(p, ".prof"), prof_bytes, raw);
+    io_.charge_write(prof_bytes.size());
 
     // Vertex membership file (ascending ids).
     const auto member_bytes = to_bytes(members);
@@ -109,8 +144,7 @@ void PartitionStore::write_all(const EdgeList& graph,
 
 void PartitionStore::write_all_streaming(
     const EdgeList& graph, const PartitionAssignment& assignment,
-    const ProfileStore& profiles, std::size_t sort_buffer_bytes,
-    bool include_profiles) {
+    const ProfileStore& profiles, std::size_t sort_buffer_bytes) {
   if (graph.num_vertices != assignment.num_vertices()) {
     throw std::invalid_argument(
         "PartitionStore::write_all_streaming: size mismatch");
@@ -141,11 +175,8 @@ void PartitionStore::write_all_streaming(
       IoCounters raw;
       if (!fs::exists(in_spill)) write_file(in_spill, {}, raw);
       if (!fs::exists(out_spill)) write_file(out_spill, {}, raw);
-      external_sort_file<Edge>(
-          in_spill, file(p, ".in"), sort_buffer_bytes,
-          [](const Edge& a, const Edge& b) {
-            return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-          });
+      external_sort_file<Edge>(in_spill, file(p, ".in"), sort_buffer_bytes,
+                               in_edge_less);
       external_sort_file<Edge>(out_spill, file(p, ".out"),
                                sort_buffer_bytes, std::less<Edge>{});
       io_.charge_write(knnpc::file_size(file(p, ".in")));
@@ -160,14 +191,12 @@ void PartitionStore::write_all_streaming(
   IoCounters raw;
   for (PartitionId p = 0; p < m_; ++p) {
     const auto members = assignment.members(p);
-    if (include_profiles) {
-      std::vector<SparseProfile> member_profiles;
-      member_profiles.reserve(members.size());
-      for (VertexId v : members) member_profiles.push_back(profiles.get(v));
-      const auto prof_bytes = pack_profiles(member_profiles);
-      write_file(file(p, ".prof"), prof_bytes, raw);
-      io_.charge_write(prof_bytes.size());
-    }
+    std::vector<SparseProfile> member_profiles;
+    member_profiles.reserve(members.size());
+    for (VertexId v : members) member_profiles.push_back(profiles.get(v));
+    const auto prof_bytes = pack_profiles(member_profiles);
+    write_file(file(p, ".prof"), prof_bytes, raw);
+    io_.charge_write(prof_bytes.size());
     const auto member_bytes = to_bytes(members);
     write_file(file(p, ".vtx"), member_bytes, raw);
     io_.charge_write(member_bytes.size());
@@ -206,17 +235,12 @@ PartitionData PartitionStore::load_edges(PartitionId id) const {
 
 PartitionData PartitionStore::load_flat(PartitionId id, bool quantize,
                                         ThreadPool* pool) const {
-  PartitionData data = load_vertices(id);
-  data.flat = FlatProfileSet::from_packed(data.vertices,
-                                          fetch(file(id, ".prof")), quantize,
-                                          pool);
-  return data;
-}
-
-PartitionData PartitionStore::load_vertices(PartitionId id) const {
   PartitionData data;
   data.id = id;
   data.vertices = from_bytes<VertexId>(fetch(file(id, ".vtx")));
+  data.flat = FlatProfileSet::from_packed(data.vertices,
+                                          fetch(file(id, ".prof")), quantize,
+                                          pool);
   return data;
 }
 

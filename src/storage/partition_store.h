@@ -47,6 +47,25 @@ struct PartitionData {
   [[nodiscard]] std::uint64_t approx_bytes() const;
 };
 
+/// In-edge order within a partition: by the bridge v = dst, then by s.
+/// (Out-edges (v, d) use Edge's own (src, dst) order.)
+[[nodiscard]] inline bool in_edge_less(const Edge& a, const Edge& b) {
+  return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+}
+
+/// Phase 1's edge routing, the one definition of a partition's edge
+/// lists: edge (s, d) is an in-edge of owner(d) (bridge d) and an
+/// out-edge of owner(s) (bridge s); in-edges are sorted by in_edge_less,
+/// out-edges by (src, dst). PartitionStore::write_all writes exactly these
+/// lists, and a persistent shard worker builds its producer partitions
+/// with this function from the G(t) it holds, so both see the same edge
+/// order by construction. A non-empty `wanted` limits the work to the
+/// partitions p with wanted[p]; the others come back empty. Returns one
+/// PartitionData per partition with id, in_edges and out_edges set.
+[[nodiscard]] std::vector<PartitionData> bucket_partition_edges(
+    const EdgeList& graph, const PartitionAssignment& assignment,
+    const std::vector<bool>& wanted = {});
+
 /// Writes and reads partitions under a work directory.
 ///
 /// Thread-safety: the write side (write_all / write_all_streaming /
@@ -75,17 +94,11 @@ class PartitionStore {
 
   /// Splits graph + profiles by `assignment` and writes all partition
   /// files. Profiles indexed by vertex id; edges of G(t) are routed to the
-  /// partition owning their *bridge* role: (s,v) to owner(v) as in-edge,
-  /// (v,d) to owner(v) as out-edge — i.e. every partition holds both edge
-  /// directions of its own vertices, as the paper specifies.
-  ///
-  /// `include_profiles = false` skips the .prof files entirely: the
-  /// persistent-worker driver syncs profiles over the command channel
-  /// (profiles/profile_delta.h) instead, so writing them here would be
-  /// bytes nobody reads. load() and load_flat() throw on such a store;
-  /// load_edges() and load_vertices() are the supported read paths.
+  /// partition owning their *bridge* role (bucket_partition_edges below):
+  /// every partition holds both edge directions of its own vertices, as
+  /// the paper specifies.
   void write_all(const EdgeList& graph, const PartitionAssignment& assignment,
-                 const ProfileStore& profiles, bool include_profiles = true);
+                 const ProfileStore& profiles);
 
   /// Low-memory variant of write_all: edges stream to per-partition files
   /// through a bounded buffer (storage/shard_writer.h) and each edge file
@@ -95,8 +108,7 @@ class PartitionStore {
   void write_all_streaming(const EdgeList& graph,
                            const PartitionAssignment& assignment,
                            const ProfileStore& profiles,
-                           std::size_t sort_buffer_bytes = 4u << 20,
-                           bool include_profiles = true);
+                           std::size_t sort_buffer_bytes = 4u << 20);
 
   /// Loads one partition from disk (three file reads, charged to the
   /// accountant). Throws when the partition was never written.
@@ -113,11 +125,6 @@ class PartitionStore {
   /// written.
   [[nodiscard]] PartitionData load_flat(PartitionId id, bool quantize,
                                         ThreadPool* pool = nullptr) const;
-
-  /// Loads only the vertex list: the persistent-worker path, where
-  /// profiles live in worker memory and phase 4 reads no partition file
-  /// but still counts its loads.
-  [[nodiscard]] PartitionData load_vertices(PartitionId id) const;
 
   /// Rewrites one partition's profile file (phase 5 flushes updates).
   void write_profiles(PartitionId id,
@@ -162,7 +169,7 @@ class PartitionCache {
   PartitionCache(const PartitionStore& store, std::size_t slots);
 
   /// Loads through `load`, e.g. PartitionStore::load_flat for phase-4
-  /// scoring or load_vertices where profiles live elsewhere.
+  /// scoring, or the vertex lists alone where profiles live elsewhere.
   PartitionCache(std::size_t slots, Loader load);
 
   /// Returns the resident partition, loading (and possibly evicting LRU)

@@ -274,32 +274,35 @@ std::pair<int, int> IpcChannel::release() noexcept {
 
 void IpcChannel::send(std::uint32_t type, std::span<const std::byte> payload,
                       double timeout_s) {
+  send_gather(type, std::span<const std::span<const std::byte>>(&payload, 1),
+              timeout_s);
+}
+
+void IpcChannel::send_gather(std::uint32_t type,
+                             std::span<const std::span<const std::byte>> parts,
+                             double timeout_s) {
   if (write_fd_ < 0) {
     throw IpcError(IpcErrorKind::SysError, "send on a read-only channel");
   }
-  if (payload.size() > max_frame_bytes_) {
+  std::size_t total = 0;
+  for (const std::span<const std::byte> part : parts) total += part.size();
+  if (total > max_frame_bytes_) {
     throw IpcError(IpcErrorKind::OversizedFrame,
                    "refusing to send frame type " + std::to_string(type) +
-                       " with a " + std::to_string(payload.size()) +
+                       " with a " + std::to_string(total) +
                        "-byte payload (max " +
                        std::to_string(max_frame_bytes_) + " bytes)");
   }
   const std::int64_t deadline_ns = deadline_from_timeout(timeout_s);
   FrameHeader header;
   header.type = type;
-  header.length = static_cast<std::uint32_t>(payload.size());
+  header.length = static_cast<std::uint32_t>(total);
 
-  // One gather write per chunk attempt: a frame larger than the kernel
-  // buffer legitimately lands in several short writes, so loop until
-  // every byte of header + payload is out. EAGAIN (a non-blocking socket
-  // whose peer applies backpressure) polls for writability with the
-  // remaining deadline — never a busy-spin.
-  const std::byte* chunks[2] = {reinterpret_cast<const std::byte*>(&header),
-                                payload.data()};
-  std::size_t sizes[2] = {sizeof(header), payload.size()};
-  for (int part = 0; part < 2; ++part) {
-    const std::byte* data = chunks[part];
-    std::size_t remaining = sizes[part];
+  // A frame larger than the kernel buffer legitimately lands in several
+  // short writes, so loop until every byte of header + parts is out.
+  // EAGAIN (a non-blocking socket whose peer applies backpressure) polls
+  // for writability with the remaining deadline — never a busy-spin.
+  auto write_part = [&](const std::byte* data, std::size_t remaining) {
     while (remaining > 0) {
       const ssize_t written = ::write(write_fd_, data, remaining);
       if (written < 0) {
@@ -313,6 +316,10 @@ void IpcChannel::send(std::uint32_t type, std::span<const std::byte> payload,
       data += written;
       remaining -= static_cast<std::size_t>(written);
     }
+  };
+  write_part(reinterpret_cast<const std::byte*>(&header), sizeof(header));
+  for (const std::span<const std::byte> part : parts) {
+    write_part(part.data(), part.size());
   }
 }
 

@@ -149,6 +149,15 @@ class IpcChannel {
   void send(std::uint32_t type, std::span<const std::byte> payload,
             double timeout_s = -1.0);
 
+  /// send() whose payload is the concatenation of `parts`, each written
+  /// from where it lies — a frame assembled from buffers held elsewhere
+  /// (the shard driver forwarding spool bytes) without joining them into
+  /// one copy first. Same errors and timeout contract as send(); the
+  /// frame bound applies to the total.
+  void send_gather(std::uint32_t type,
+                   std::span<const std::span<const std::byte>> parts,
+                   double timeout_s = -1.0);
+
   /// Reads one complete frame. `timeout_s` follows the channel-wide
   /// contract: < 0 blocks forever, 0 polls once (draining a frame the
   /// kernel already buffered) then throws Timeout, > 0 is a deadline for

@@ -241,6 +241,33 @@ TEST_P(IpcChannelTransportTest, LargePayloadCrossesKernelBufferBoundaries) {
   EXPECT_EQ(frame.payload, big);
 }
 
+TEST_P(IpcChannelTransportTest, GatherSendArrivesAsOneConcatenatedFrame) {
+  // The shard driver forwards spool bytes it holds in other frames this
+  // way: the receiver must see exactly one frame whose payload is the
+  // parts in order, empty parts included.
+  Loopback loop(GetParam());
+  const std::vector<std::byte> head = bytes_of("head-");
+  const std::vector<std::byte> empty;
+  std::vector<std::byte> body(256u << 10);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<std::byte>(i * 31);
+  }
+  const std::span<const std::byte> parts[] = {head, empty, body, head};
+  std::thread sender([&] { loop.a.send_gather(11, parts, 30.0); });
+  const IpcFrame frame = loop.b.recv(30.0);
+  sender.join();
+  std::vector<std::byte> expected = head;
+  expected.insert(expected.end(), body.begin(), body.end());
+  expected.insert(expected.end(), head.begin(), head.end());
+  EXPECT_EQ(frame.type, 11u);
+  EXPECT_EQ(frame.payload, expected);
+
+  // The frame bound applies to the total, not to each part.
+  Loopback bounded(GetParam(), /*max_frame_bytes=*/8);
+  const std::span<const std::byte> over[] = {head, head};
+  EXPECT_THROW(bounded.a.send_gather(12, over), IpcError);
+}
+
 TEST_P(IpcChannelTransportTest, BufferedFrameIsDrainedEvenAtAnExpiredDeadline) {
   // A reply that arrived in time must not be reported as a timeout just
   // because the caller shows up at (or past) its deadline: recv(0)

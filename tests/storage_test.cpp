@@ -1,6 +1,7 @@
 // Tests for storage/: block files, I/O models, partition store and cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "graph/generators.h"
@@ -186,6 +187,47 @@ TEST(PartitionStoreTest, EdgeFilesAreSortedByBridge) {
     }
     for (const Edge& e : data.out_edges) {
       EXPECT_EQ(fx.assignment.owner(e.src), p);
+    }
+  }
+}
+
+TEST(PartitionStoreTest, BucketedEdgeListsMatchTheFilesAndASortReference) {
+  // Persistent workers build their partitions with bucket_partition_edges
+  // instead of reading the files write_all produces from it; both must be
+  // the fully sorted lists a plain bucket-then-sort gives.
+  StoreFixture fx(60, 500, 5);
+  const PartitionId m = fx.assignment.num_partitions();
+  std::vector<std::vector<Edge>> in_ref(m);
+  std::vector<std::vector<Edge>> out_ref(m);
+  for (const Edge& e : fx.graph.edges) {
+    in_ref[fx.assignment.owner(e.dst)].push_back(e);
+    out_ref[fx.assignment.owner(e.src)].push_back(e);
+  }
+  PartitionStore store(fx.dir.path());
+  store.write_all(fx.graph, fx.assignment, fx.profiles);
+  const std::vector<PartitionData> all =
+      bucket_partition_edges(fx.graph, fx.assignment);
+  std::vector<bool> odd(m, false);
+  for (PartitionId p = 1; p < m; p += 2) odd[p] = true;
+  const std::vector<PartitionData> some =
+      bucket_partition_edges(fx.graph, fx.assignment, odd);
+  ASSERT_EQ(all.size(), m);
+  ASSERT_EQ(some.size(), m);
+  for (PartitionId p = 0; p < m; ++p) {
+    std::sort(in_ref[p].begin(), in_ref[p].end(), in_edge_less);
+    std::sort(out_ref[p].begin(), out_ref[p].end());
+    EXPECT_EQ(all[p].id, p);
+    EXPECT_EQ(all[p].in_edges, in_ref[p]) << "partition " << p;
+    EXPECT_EQ(all[p].out_edges, out_ref[p]) << "partition " << p;
+    const PartitionData files = store.load_edges(p);
+    EXPECT_EQ(files.in_edges, all[p].in_edges) << "partition " << p;
+    EXPECT_EQ(files.out_edges, all[p].out_edges) << "partition " << p;
+    if (odd[p]) {
+      EXPECT_EQ(some[p].in_edges, all[p].in_edges) << "partition " << p;
+      EXPECT_EQ(some[p].out_edges, all[p].out_edges) << "partition " << p;
+    } else {
+      EXPECT_TRUE(some[p].in_edges.empty()) << "partition " << p;
+      EXPECT_TRUE(some[p].out_edges.empty()) << "partition " << p;
     }
   }
 }

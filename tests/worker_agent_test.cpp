@@ -7,8 +7,9 @@
 // whose persistent workers live behind TCP worker agents produces the
 // BIT-IDENTICAL graph the serial engine produces — including when a
 // remote worker is killed mid-run and the supervision layer respawns and
-// resyncs it — while the content-addressed sync re-transfers nothing for
-// partitions that did not change.
+// resyncs it — while the run dir sync ships the plan once and nothing
+// else: workers build their partitions from the G(t) they hold, and
+// spools between agents ride the iteration frames.
 //
 // The agents run in-process on background threads and spawn THIS binary
 // as their shard workers, so it carries a custom main() dispatching the
@@ -16,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -37,38 +40,14 @@ namespace {
 
 // ----------------------------------------------------- file-sync formats --
 
-TEST(FileSyncTest, ChecksumIsContentAddressedAndStable) {
-  ScratchDir scratch("file_sync_checksum");
-  IoCounters io;
-  write_file(scratch.path() / "a.bin", std::vector<std::byte>(64, std::byte{7}),
-             io);
-  write_file(scratch.path() / "b.bin", std::vector<std::byte>(64, std::byte{7}),
-             io);
-  write_file(scratch.path() / "c.bin", std::vector<std::byte>(64, std::byte{8}),
-             io);
-  const std::uint64_t a = file_checksum(scratch.path() / "a.bin");
-  EXPECT_EQ(a, file_checksum(scratch.path() / "a.bin")) << "not deterministic";
-  EXPECT_EQ(a, file_checksum(scratch.path() / "b.bin"))
-      << "identical content must hash identically regardless of path";
-  EXPECT_NE(a, file_checksum(scratch.path() / "c.bin"));
-}
-
-TEST(FileSyncTest, ManifestScansSortedAndRoundTripsThroughWire) {
-  ScratchDir scratch("file_sync_manifest");
-  IoCounters io;
-  write_file(scratch.path() / "zz.bin", std::vector<std::byte>(10), io);
-  std::filesystem::create_directories(scratch.path() / "sub");
-  write_file(scratch.path() / "sub" / "aa.bin", std::vector<std::byte>(20),
-             io);
-
-  const std::vector<SyncFileEntry> manifest = scan_sync_root(scratch.path());
-  ASSERT_EQ(manifest.size(), 2u);
-  // Sorted by relpath — the order both sides rely on for the NEED-reply
-  // indices to mean the same entries.
-  EXPECT_EQ(manifest[0].relpath, "sub/aa.bin");
-  EXPECT_EQ(manifest[0].size, 20u);
-  EXPECT_EQ(manifest[1].relpath, "zz.bin");
-  EXPECT_EQ(manifest[1].size, 10u);
+TEST(FileSyncTest, ManifestRoundTripsThroughWire) {
+  std::vector<SyncFileEntry> manifest(2);
+  manifest[0].relpath = "plan.bin";
+  manifest[0].size = 20;
+  manifest[0].checksum = 0x1234;
+  manifest[1].relpath = "sub/zz.bin";
+  manifest[1].size = 10;
+  manifest[1].checksum = 0xfeed;
 
   const std::vector<std::byte> wire = serialize_manifest(manifest);
   const std::vector<SyncFileEntry> decoded = parse_manifest(wire);
@@ -86,12 +65,10 @@ TEST(FileSyncTest, ManifestScansSortedAndRoundTripsThroughWire) {
 
 TEST(FileSyncTest, BlobRoundTripsAndUnsafeRelpathsAreRejected) {
   FileBlob blob;
-  blob.relpath = "spools/tuples_p0_c1.bin";
-  blob.exists = true;
+  blob.relpath = "plan.bin";
   blob.bytes = {std::byte{1}, std::byte{2}, std::byte{3}};
   const FileBlob decoded = parse_file_blob(serialize_file_blob(blob));
   EXPECT_EQ(decoded.relpath, blob.relpath);
-  EXPECT_TRUE(decoded.exists);
   EXPECT_EQ(decoded.bytes, blob.bytes);
 
   // The agent places files it receives under its run dir by relpath; a
@@ -132,6 +109,16 @@ struct AgentHarness {
 
   [[nodiscard]] std::string endpoint() const {
     return "127.0.0.1:" + std::to_string(agent.port());
+  }
+
+  /// Names of every file and directory under the agent's work root.
+  [[nodiscard]] std::set<std::string> entry_names() const {
+    std::set<std::string> names;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(scratch.path())) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
   }
 };
 
@@ -240,64 +227,59 @@ TEST_P(DistributedShardCountTest, LoopbackAgentBitIdenticalToSerial) {
     EXPECT_EQ(w.spawn_count, 1u) << "shard " << w.shard;
     EXPECT_EQ(w.resync_count, 0u) << "shard " << w.shard;
   }
-  // First iteration ships the whole run dir (plan + every partition).
-  EXPECT_GT(per_iter.front().workers[0].sync_files_tx, 0u);
+  // The first iteration ships the plan only; later iterations ship
+  // nothing at all.
+  EXPECT_EQ(per_iter.front().workers[0].sync_files_tx, 1u);
   EXPECT_GT(per_iter.front().workers[0].sync_bytes_tx, 0u);
-  // Later iterations still skip the unchanged plan.bin at minimum.
-  EXPECT_GT(last.workers[0].sync_files_skipped, 0u);
-  for (std::uint32_t s = 1; s < GetParam(); ++s) {
-    EXPECT_EQ(last.workers[s].sync_files_tx, 0u) << "shard " << s;
-    EXPECT_EQ(last.workers[s].sync_bytes_tx, 0u) << "shard " << s;
-    EXPECT_EQ(last.workers[s].sync_files_skipped, 0u) << "shard " << s;
+  for (const ShardWorkerStats& w : last.workers) {
+    EXPECT_EQ(w.sync_files_tx, 0u) << "shard " << w.shard;
+    EXPECT_EQ(w.sync_bytes_tx, 0u) << "shard " << w.shard;
+    EXPECT_EQ(w.sync_files_skipped, 0u) << "shard " << w.shard;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, DistributedShardCountTest,
                          ::testing::Values(1u, 2u, 3u));
 
-TEST(DistributedShardTest, UnchangedPartitionsAreNeverRetransferred) {
-  // While the graph still evolves the partitioner legitimately reshapes
-  // the partition files, so they re-transfer. The invariant the
-  // content-addressed sync must hold: partition writes are deterministic
-  // in the graph, so any iteration that follows a zero-change iteration
-  // rewrites bit-identical files and must transfer nothing. (Convergence
-  // is not sticky — NN-descent sampling can nudge change_rate back off
-  // zero later — so the claim is per-iteration, not "forever after".)
+TEST(DistributedShardTest, PartitionStoreIsNeverShipped) {
+  // Workers route their producer partitions from the G(t) they hold and
+  // take phase-4 member lists from the ownership maps, so the run dir
+  // sync carries the plan once and nothing after it — however much the
+  // graph churns — and no partition file ever lands on the agent.
   const EngineConfig config = base_config();
-  AgentHarness agent("dist_steady_state");
+  const std::vector<std::uint64_t> serial =
+      serial_churn_checksums(config, 80, 4, 6);
+  AgentHarness agent("dist_no_partitions");
   ShardedKnnEngine engine(config, distributed_config(2, {agent.endpoint()}),
                           clustered(80, 4));
+  const std::vector<ShardedIterationStats> per_iter =
+      run_distributed_churn(engine, 80, 4, serial);
 
-  ShardedIterationStats stats = engine.run_iteration();
-  EXPECT_GT(stats.workers[0].sync_bytes_tx, 0u)
-      << "the first sync must actually ship the run dir";
-  int zero_change_iterations = 0;
-  int verified = 0;
-  for (int i = 1; i < 30 && verified < 2; ++i) {
-    const bool prev_was_zero_change = stats.merged.change_rate == 0.0;
-    stats = engine.run_iteration();
-    if (!prev_was_zero_change) continue;
-    ++zero_change_iterations;
-    const ShardWorkerStats& w = stats.workers[0];
-    EXPECT_EQ(w.sync_bytes_tx, 0u)
-        << "iteration " << i << " followed a zero-change iteration yet "
-        << "re-transferred unchanged files";
-    EXPECT_EQ(w.sync_files_tx, 0u) << "iteration " << i;
-    EXPECT_GT(w.sync_files_skipped, 0u) << "iteration " << i;
-    EXPECT_GT(w.sync_bytes_skipped, 0u) << "iteration " << i;
-    if (w.sync_bytes_tx == 0 && w.sync_files_tx == 0) ++verified;
+  EXPECT_EQ(per_iter.front().workers[0].sync_files_tx, 1u)
+      << "the first sync ships the plan and only the plan";
+  EXPECT_GT(per_iter.front().workers[0].sync_bytes_tx, 0u);
+  int churned = 0;
+  for (std::size_t i = 1; i < per_iter.size(); ++i) {
+    if (per_iter[i].merged.change_rate > 0.0) ++churned;
+    for (const ShardWorkerStats& w : per_iter[i].workers) {
+      EXPECT_EQ(w.sync_files_tx, 0u)
+          << "iteration " << i << ", shard " << w.shard;
+      EXPECT_EQ(w.sync_bytes_tx, 0u)
+          << "iteration " << i << ", shard " << w.shard;
+    }
   }
-  ASSERT_GE(zero_change_iterations, 1)
-      << "workload never reached a zero-change iteration within 30";
-  EXPECT_GE(verified, 2)
-      << "expected at least two zero-transfer steady-state iterations";
+  EXPECT_GT(churned, 0) << "the claim must hold while G(t) changes";
+  const std::set<std::string> names = agent.entry_names();
+  EXPECT_TRUE(names.contains("plan.bin"));
+  EXPECT_FALSE(names.contains("partitions"))
+      << "a partition store appeared under the agent's run dir";
 }
 
 TEST(DistributedShardTest, TwoAgentsRelaySpoolsAndStayBitIdentical) {
-  // Shards split across two agents with separate work roots: the
-  // cross-shard spool files must be relayed between the agents' run dirs
-  // through the driver (workers share no filesystem in the real
-  // deployment — two ScratchDirs model that), and the merged graph must
+  // Shards split across two agents with separate work roots (workers
+  // share no filesystem in the real deployment — two ScratchDirs model
+  // that): the cross-agent spools ride the PRODUCED and GO frames through
+  // the driver, same-agent spools stay files, and the merged graph must
   // still match the serial engine bit for bit.
   const EngineConfig config = base_config();
   const std::vector<std::uint64_t> serial =
@@ -316,8 +298,18 @@ TEST(DistributedShardTest, TwoAgentsRelaySpoolsAndStayBitIdentical) {
   // agent, shard 1 (its lowest — and only — shard) for the right.
   const ShardedIterationStats& first = per_iter.front();
   ASSERT_EQ(first.workers.size(), 2u);
-  EXPECT_GT(first.workers[0].sync_files_tx, 0u);
-  EXPECT_GT(first.workers[1].sync_files_tx, 0u);
+  EXPECT_EQ(first.workers[0].sync_files_tx, 1u);
+  EXPECT_EQ(first.workers[1].sync_files_tx, 1u);
+  // Spool (p, c) is tuples_p<p>_<c>.bin: each agent holds its own shard's
+  // same-agent spool and never a cross-agent one.
+  const std::set<std::string> left_names = left.entry_names();
+  const std::set<std::string> right_names = right.entry_names();
+  EXPECT_TRUE(left_names.contains("tuples_p0_0.bin"));
+  EXPECT_TRUE(right_names.contains("tuples_p1_1.bin"));
+  EXPECT_FALSE(left_names.contains("tuples_p1_0.bin"));
+  EXPECT_FALSE(right_names.contains("tuples_p0_1.bin"));
+  EXPECT_FALSE(left_names.contains("partitions"));
+  EXPECT_FALSE(right_names.contains("partitions"));
 }
 
 // ------------------------------------------------------ fault injection --
@@ -349,6 +341,57 @@ TEST(DistributedFaultTest, RemoteWorkerKilledMidRunRespawnsAndResyncs) {
   // like local persistent mode.
   EXPECT_EQ(per_iter[2].workers[1].profile_rows_rx, 80u);
   EXPECT_EQ(per_iter[2].workers[1].round_trips, 2u);
+}
+
+TEST(DistributedFaultTest, TwoAgentConsumerKilledMidConsumeGetsSpoolsAgain) {
+  // Shard 1 (the right agent) dies in the consume wave of iteration 2.
+  // Its replacement replays with a skip-produce command, which must carry
+  // spool (0, 1) again — the driver still holds producer 0's PRODUCED
+  // bytes — while its own same-agent spool is still on disk.
+  const EngineConfig config = base_config();
+  const std::vector<std::uint64_t> serial =
+      serial_churn_checksums(config, 80, 4, 4);
+
+  FaultGuard fault("consume:1:kill:0:2");
+  AgentHarness left("dist_fault_two_consume_left");
+  AgentHarness right("dist_fault_two_consume_right");
+  ShardedKnnEngine engine(
+      config, distributed_config(2, {left.endpoint(), right.endpoint()}),
+      clustered(80, 4));
+  const std::vector<ShardedIterationStats> per_iter =
+      run_distributed_churn(engine, 80, 4, serial);
+
+  const ShardedIterationStats& last = per_iter.back();
+  ASSERT_EQ(last.workers.size(), 2u);
+  EXPECT_EQ(last.workers[1].spawn_count, 2u);
+  EXPECT_EQ(last.workers[1].resync_count, 1u);
+  EXPECT_EQ(last.workers[0].spawn_count, 1u);
+  EXPECT_EQ(per_iter[2].workers[1].round_trips, 2u);
+}
+
+TEST(DistributedFaultTest, TwoAgentProducerKilledMidProduceReplacesSpools) {
+  // Shard 0 (the left agent) dies in the produce wave of iteration 2,
+  // before its PRODUCED carried spool (0, 1). The replayed command's
+  // PRODUCED must supply it, and consumer 1 must see exactly those bytes.
+  const EngineConfig config = base_config();
+  const std::vector<std::uint64_t> serial =
+      serial_churn_checksums(config, 80, 4, 4);
+
+  FaultGuard fault("produce:0:kill:0:2");
+  AgentHarness left("dist_fault_two_produce_left");
+  AgentHarness right("dist_fault_two_produce_right");
+  ShardedKnnEngine engine(
+      config, distributed_config(2, {left.endpoint(), right.endpoint()}),
+      clustered(80, 4));
+  const std::vector<ShardedIterationStats> per_iter =
+      run_distributed_churn(engine, 80, 4, serial);
+
+  const ShardedIterationStats& last = per_iter.back();
+  ASSERT_EQ(last.workers.size(), 2u);
+  EXPECT_EQ(last.workers[0].spawn_count, 2u);
+  EXPECT_EQ(last.workers[0].resync_count, 1u);
+  EXPECT_EQ(last.workers[1].spawn_count, 1u);
+  EXPECT_EQ(per_iter[2].workers[0].round_trips, 2u);
 }
 
 TEST(DistributedFaultTest, SecondFailureThrowsTheLocalModeDiagnostic) {
