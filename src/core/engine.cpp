@@ -6,8 +6,8 @@
 
 #include "core/convergence.h"
 #include "core/topk.h"
+#include "core/tuple_dedup.h"
 #include "core/tuple_generation.h"
-#include "core/tuple_table.h"
 #include "graph/digraph.h"
 #include "graph/knn_graph_io.h"
 #include "partition/cost.h"
@@ -28,19 +28,6 @@
 namespace knnpc {
 namespace fs = std::filesystem;
 
-namespace {
-
-/// Shared slot layout (core/tuple_generation.h) under the old local name.
-inline std::size_t pair_slot(PartitionId a, PartitionId b, PartitionId m) {
-  return pi_pair_slot(a, b, m);
-}
-
-/// Below this many candidates in a bundle the parallel merge's shard
-/// scans cost more than they save; offer serially.
-constexpr std::size_t kParallelMergeMinTuples = 1024;
-
-}  // namespace
-
 struct KnnEngine::Impl {
   std::unique_ptr<ScratchDir> scratch;
   fs::path work_dir;
@@ -50,9 +37,6 @@ struct KnnEngine::Impl {
   IoAccountant shard_io;
   /// Previous phase-1 assignment (reused when repartition_every > 1).
   std::optional<PartitionAssignment> last_assignment;
-  /// Unique tuples each phase-2 group held last iteration (sizes this
-  /// iteration's tables; empty before the first).
-  std::vector<std::size_t> group_unique;
 
   Impl(const EngineConfig& config, VertexId num_users)
       : shard_io(config.io_model) {
@@ -144,107 +128,53 @@ IterationStats KnnEngine::run_iteration() {
       assignment = make_partitioner(config_.partitioner)->assign(digraph, m);
       impl_->last_assignment = assignment;
     }
-    store.write_all(edge_list, assignment, profiles_);
+    store.write_all(edge_list, assignment, profiles_, impl_->pool.get());
     if (config_.record_partition_cost) {
       stats.partition_cost_total = partition_cost(digraph, assignment).total;
     }
   }
 
-  // ---- Phase 2: populate H with unique tuples, shard them by pair. ----
-  // Shards stream to disk through bounded buffers; phase 4 reads each
-  // pair's bundle back sequentially when its turn in the schedule comes.
-  //
-  // H is split into one group per thread by pair slot (slot % groups).
-  // A tuple's slot is a function of (s, d), so every copy of a tuple
-  // lands in the same group and dedup per group is global dedup. Tasks
-  // (one per partition, then one per user range for the restarts)
-  // generate candidates in parallel, bucketed by group, at most `groups`
-  // tasks per wave; then each group drains the wave's buckets in task
-  // order into its own TupleTable and single-writer shard writer. Every
-  // slot therefore receives its tuples in the serial emission order, so
-  // the shard files are the same at every thread count.
-  const std::size_t num_slots = pair_slot(m - 1, m - 1, m) + 1;
-  const std::size_t groups = impl_->threads;
-  std::vector<TupleShardWriter> shard_writers;
-  auto writer_of = [&](std::size_t slot) -> TupleShardWriter& {
-    return shard_writers[slot % groups];
-  };
+  // ---- Phase 2: populate H with unique tuples, one bundle per pair. --
+  // Tasks (one per partition, then one per user range for the restarts)
+  // generate candidates in parallel, each into its own buckets by pair
+  // slot. Each slot is then sorted and deduplicated on the pool and
+  // written once, as <work_dir>/tuples_<slot>.bin in ascending (s, d)
+  // order (core/tuple_dedup.h): a function of the candidate multiset
+  // alone, so the bundles are the same at every thread count. Phase 4
+  // reads each pair's bundle back when its turn in the schedule comes.
+  const std::size_t num_slots = pi_pair_slot(m - 1, m - 1, m) + 1;
+  std::vector<std::uint64_t> slot_tuples;
   {
     ScopedAccumulator timing(&stats.timings.hash_s);
-    shard_writers.reserve(groups);
-    for (std::size_t g = 0; g < groups; ++g) {
-      // Groups own disjoint slots, so they share the file layout
-      // <work_dir>/tuples_<slot>.bin and split the buffer budget.
-      shard_writers.emplace_back(
-          impl_->work_dir, "tuples", num_slots,
-          std::max<std::size_t>(config_.shard_buffer_bytes / groups,
-                                sizeof(Tuple)),
-          &impl_->shard_io);
-    }
     const std::span<const PartitionId> owner = assignment.owners();
-    auto slot_of = [&](Tuple t) {
-      return pair_slot(owner[t.s], owner[t.d], m);
-    };
-    if (impl_->group_unique.size() != groups) {
-      // Every user's k neighbours each bring k bridge tuples, plus its k
-      // direct edges.
-      impl_->group_unique.assign(
-          groups, static_cast<std::size_t>(n) * config_.k * (config_.k + 1) /
-                      groups);
-    }
-    std::vector<TupleTable> tables;
-    tables.reserve(groups);
-    for (std::size_t g = 0; g < groups; ++g) {
-      tables.emplace_back(impl_->group_unique[g]);
-    }
     const std::size_t restart_tasks =
-        config_.random_candidates > 0 && n > 1 ? groups : 0;
+        config_.random_candidates > 0 && n > 1 ? impl_->threads : 0;
     const std::size_t num_tasks = m + restart_tasks;
-    // buckets[i][g]: the wave's i-th task's candidates for group g.
-    std::vector<std::vector<std::vector<Tuple>>> buckets(
-        groups, std::vector<std::vector<Tuple>>(groups));
-    std::vector<std::uint64_t> emitted(groups);
-    for (std::size_t wave = 0; wave < num_tasks; wave += groups) {
-      const std::size_t width = std::min(groups, num_tasks - wave);
-      impl_->for_each_task(width, [&](std::size_t i) {
-        auto emit = [&](Tuple t) {
-          buckets[i][slot_of(t) % groups].push_back(t);
-        };
-        const std::size_t task = wave + i;
-        if (task < m) {
-          const auto p = static_cast<PartitionId>(task);
-          const PartitionData part = store.load_edges(p);
-          emitted[i] = partition_candidates(part.in_edges, part.out_edges, p,
-                                            config_, iteration_, emit);
-          return;
-        }
-        const std::size_t r = task - m;
-        const auto lo = static_cast<VertexId>(n * r / restart_tasks);
-        const auto hi = static_cast<VertexId>(n * (r + 1) / restart_tasks);
-        emitted[i] = 0;
-        for (VertexId s = lo; s < hi; ++s) {
-          emitted[i] += restart_candidates(s, n, config_, iteration_, emit);
-        }
-      });
-      for (std::size_t i = 0; i < width; ++i) {
-        stats.candidate_tuples += emitted[i];
+    std::vector<SlotBuckets> buckets(num_tasks, SlotBuckets(num_slots));
+    std::vector<std::uint64_t> emitted(num_tasks, 0);
+    impl_->for_each_task(num_tasks, [&](std::size_t task) {
+      SlotBuckets& out = buckets[task];
+      auto emit = [&](Tuple t) {
+        out[pi_pair_slot(owner[t.s], owner[t.d], m)].push_back(t);
+      };
+      if (task < m) {
+        const auto p = static_cast<PartitionId>(task);
+        const PartitionData part = store.load_edges(p);
+        emitted[task] = partition_candidates(part.in_edges, part.out_edges,
+                                             p, config_, iteration_, emit);
+        return;
       }
-      impl_->for_each_task(groups, [&](std::size_t g) {
-        for (std::size_t i = 0; i < width; ++i) {
-          for (const Tuple t : buckets[i][g]) {
-            if (tables[g].insert(t)) shard_writers[g].add(slot_of(t), t);
-          }
-          buckets[i][g].clear();
-        }
-      });
-    }
-    buckets.clear();
-    impl_->for_each_task(groups,
-                         [&](std::size_t g) { shard_writers[g].finish(); });
-    for (std::size_t g = 0; g < groups; ++g) {
-      impl_->group_unique[g] = tables[g].size();
-      stats.unique_tuples += tables[g].size();
-    }
+      const std::size_t r = task - m;
+      const auto lo = static_cast<VertexId>(n * r / restart_tasks);
+      const auto hi = static_cast<VertexId>(n * (r + 1) / restart_tasks);
+      for (VertexId s = lo; s < hi; ++s) {
+        emitted[task] += restart_candidates(s, n, config_, iteration_, emit);
+      }
+    });
+    for (const std::uint64_t e : emitted) stats.candidate_tuples += e;
+    slot_tuples = write_tuple_bundles(buckets, n, impl_->work_dir,
+                                      impl_->pool.get(), &impl_->shard_io);
+    for (const std::uint64_t u : slot_tuples) stats.unique_tuples += u;
   }
 
   // ---- Phase 3: PI graph + traversal schedule. -------------------------
@@ -254,8 +184,7 @@ IterationStats KnnEngine::run_iteration() {
     ScopedAccumulator timing(&stats.timings.pi_graph_s);
     for (PartitionId a = 0; a < m; ++a) {
       for (PartitionId b = a; b < m; ++b) {
-        const std::size_t slot = pair_slot(a, b, m);
-        const auto count = writer_of(slot).shard_records(slot);
+        const auto count = slot_tuples[pi_pair_slot(a, b, m)];
         if (count > 0) pi.add_edge(a, b, count);
       }
     }
@@ -276,55 +205,6 @@ IterationStats KnnEngine::run_iteration() {
       score_writer.emplace(impl_->work_dir, "scores", m,
                            config_.shard_buffer_bytes, &impl_->shard_io);
     }
-    // Parallel top-K merge: users are sharded across workers by id, so no
-    // two workers ever touch the same heap and no locks are needed. A
-    // parallel_reduce buckets candidate indices by shard first (one O(n)
-    // pass; the chunk-ordered combine keeps every bucket ascending), then
-    // each shard offers its bucket. Per-user offers therefore keep their
-    // sequential order and G(t+1) is bit-identical to a serial merge
-    // regardless of thread count.
-    auto parallel_offers = [&](std::size_t count, auto&& user_of,
-                               auto&& offer_one) {
-      if (!impl_->pool || count < kParallelMergeMinTuples) {
-        for (std::size_t i = 0; i < count; ++i) offer_one(i);
-        return;
-      }
-      const std::size_t shards = impl_->pool->size() + 1;
-      using Buckets = std::vector<std::vector<std::size_t>>;
-      Buckets buckets = impl_->pool->parallel_reduce(
-          0, count, Buckets(shards),
-          [&](std::size_t lo, std::size_t hi) {
-            Buckets part(shards);
-            for (std::size_t i = lo; i < hi; ++i) {
-              part[user_of(i) % shards].push_back(i);
-            }
-            return part;
-          },
-          [&](Buckets acc, Buckets part) {
-            for (std::size_t s = 0; s < shards; ++s) {
-              acc[s].insert(acc[s].end(), part[s].begin(), part[s].end());
-            }
-            return acc;
-          },
-          /*min_chunk=*/2048);
-      impl_->pool->parallel_for(
-          0, shards,
-          [&](std::size_t shard_lo, std::size_t shard_hi) {
-            for (std::size_t s = shard_lo; s < shard_hi; ++s) {
-              for (std::size_t i : buckets[s]) offer_one(i);
-            }
-          },
-          /*min_chunk=*/1);
-    };
-    auto offer_scored = [&](TopKAccumulator& into,
-                            const std::vector<Tuple>& tuples,
-                            const std::vector<float>& scores) {
-      parallel_offers(
-          tuples.size(), [&](std::size_t i) { return tuples[i].s; },
-          [&](std::size_t i) {
-            into.offer(tuples[i].s, tuples[i].d, scores[i]);
-          });
-    };
     // Each load reads a partition's vertex and profile files only and
     // decodes the profiles straight into the flat (SoA) layout the
     // batched kernels read, over the pool: once per load, not per pair.
@@ -336,26 +216,27 @@ IterationStats KnnEngine::run_iteration() {
     std::vector<float> scores;
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
-      const std::size_t slot = pair_slot(pair.a, pair.b, m);
-      const std::vector<Tuple> tuples =
-          read_record_shard<Tuple>(writer_of(slot).shard_path(slot),
-                                   &impl_->shard_io);
+      const std::vector<Tuple> tuples = read_record_shard<Tuple>(
+          tuple_bundle_path(impl_->work_dir, pi_pair_slot(pair.a, pair.b, m)),
+          &impl_->shard_io);
       const FlatProfileSet& fa = cache.get(pair.a).flat;
       const FlatProfileSet* fb =
           pair.b == pair.a ? nullptr : &cache.get(pair.b).flat;
-      {
-        ScopedAccumulator score_timing(&stats.knn_score_s);
-        score_tuples(tuples, fa, fb, config_.measure, backend,
-                     impl_->pool.get(), scores);
-      }
+      ScopedAccumulator score_timing(&stats.knn_score_s);
       if (score_writer) {
+        scores.resize(tuples.size());
+        score_and_offer(tuples, fa, fb, config_.measure, backend,
+                        impl_->pool.get(),
+                        [&](std::size_t i, float score) { scores[i] = score; });
         for (std::size_t i = 0; i < tuples.size(); ++i) {
           score_writer->add(assignment.owner(tuples[i].s),
                             {tuples[i].s, tuples[i].d, scores[i]});
         }
       } else {
-        ScopedAccumulator merge_timing(&stats.knn_merge_s);
-        offer_scored(acc, tuples, scores);
+        score_and_offer(tuples, fa, fb, config_.measure, backend,
+                        impl_->pool.get(), [&](std::size_t i, float score) {
+                          acc.offer(tuples[i].s, tuples[i].d, score);
+                        });
       }
     }
     cache.flush();  // count the final unloads, as in the simulator
@@ -371,11 +252,7 @@ IterationStats KnnEngine::run_iteration() {
         for (PartitionId p = 0; p < m; ++p) {
           const auto spilled = read_record_shard<ScoredTuple>(
               score_writer->shard_path(p), &impl_->shard_io);
-          parallel_offers(
-              spilled.size(), [&](std::size_t i) { return spilled[i].s; },
-              [&](std::size_t i) {
-                acc.offer(spilled[i].s, spilled[i].d, spilled[i].score);
-              });
+          for (const ScoredTuple& t : spilled) acc.offer(t.s, t.d, t.score);
           const auto members = assignment.members(p);
           auto finalise = [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {

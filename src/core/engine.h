@@ -42,9 +42,9 @@ struct EngineConfig {
   SimilarityMeasure measure = SimilarityMeasure::Cosine;
   /// Resident partition slots in phase 4 (the paper uses 2).
   std::size_t memory_slots = 2;
-  /// Worker threads of the engine's pool: phase-2 candidate generation
-  /// and dedup (one TupleTable group per thread), phase-4 profile
-  /// decoding, similarity computation and top-K merging (also reused by
+  /// Worker threads of the engine's pool: phase-1 partition writes,
+  /// phase-2 candidate generation and per-slot sort-dedup, phase-4
+  /// profile decoding and the fused score-and-offer pass (also reused by
   /// the sampled_recall estimator). 0 = auto: hardware
   /// concurrency clamped by workload size, so large runs multi-thread by
   /// default while small runs stay serial. 1 = always serial. The KNN
@@ -80,9 +80,10 @@ struct EngineConfig {
   bool checkpoint = false;
   /// How partition files are read back (read() vs mmap).
   PartitionStore::Mode storage_mode = PartitionStore::Mode::Read;
-  /// Memory budget for the phase-2 tuple-shard buffers, split across the
-  /// dedup groups (and the phase-4 score spill, when enabled); buffers
-  /// flush to disk beyond this.
+  /// Memory budget for record-spill buffers, which flush to disk beyond
+  /// it: the phase-4 score spill (spill_scores) and the sharded driver's
+  /// cross-shard tuple spools. It does not bound phase 2: each tuple
+  /// bundle is sorted in memory and written once (core/tuple_dedup.h).
   std::size_t shard_buffer_bytes = 16u << 20;
   /// Spill phase-4 candidate scores to per-partition files and finalise
   /// top-K one partition at a time, instead of keeping every user's
@@ -132,8 +133,10 @@ struct IterationStats {
   IoCounters io;
   /// Modelled device time for the iteration's I/O, microseconds.
   double modeled_io_us = 0.0;
-  /// Phase-4 sub-timings (both contained in timings.knn_s): similarity
-  /// scoring over tuple bundles vs the per-user top-K merge.
+  /// Phase-4 sub-timings (both contained in timings.knn_s): the fused
+  /// score-and-offer pass over the tuple bundles (offers into the top-K
+  /// heaps, or the score spill, included) vs building G(t+1) from the
+  /// heaps (plus, with spill_scores, replaying the spilled scores).
   double knn_score_s = 0.0;
   double knn_merge_s = 0.0;
   /// Worker threads phases 2 and 4 actually ran with (config.threads

@@ -23,8 +23,8 @@
 #include "core/convergence.h"
 #include "core/worker_agent.h"
 #include "core/topk.h"
+#include "core/tuple_dedup.h"
 #include "core/tuple_generation.h"
-#include "core/tuple_table.h"
 #include "graph/digraph.h"
 #include "graph/knn_graph_delta.h"
 #include "graph/knn_graph_io.h"
@@ -230,10 +230,10 @@ using InlineSpools = std::vector<std::optional<std::span<const std::byte>>>;
 /// Thread mode passes the driver's `store` and reads profiles from its
 /// .prof files. A persistent worker passes no store and its
 /// `local_profiles` (P(t), synced over the command channel as KPRD
-/// deltas): phase 4 then scores from that copy and its cache "loads" a
-/// partition's member list from the assignment, so it reads no partition
-/// file yet keeps the load counts of the streaming path. The values are
-/// identical either way, so the output graph is too.
+/// deltas): phase 4 then scores from that copy and its cache "loads" an
+/// empty slot per partition, so it reads no partition file yet keeps the
+/// load counts of the streaming path. The values are identical either
+/// way, so the output graph is too.
 ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
                                   std::span<const VertexId> members,
                                   const PartitionStore* store,
@@ -251,50 +251,58 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
   Timer wall;
 
   // Phase 2b: consumer-side H_c — global dedup per source user falls
-  // out of the routing (all (s, *) tuples land here together).
+  // out of the routing (all (s, *) tuples land here together). Bucket
+  // one producer's spool at a time by pair slot, in producer order
+  // p = 0..S-1 — a file spool is read and freed before the next, an
+  // inline one is read in place — then sort and dedup every slot on the
+  // pool into <worker dir>/tuples_<slot>.bin, the engine's bundle layout.
   const std::size_t num_slots = pi_pair_slot(m - 1, m - 1, m) + 1;
-  TupleShardWriter pair_writer(consumer_scratch_dir(ctx.work_dir, c),
-                               "tuples", num_slots,
-                               std::max<std::size_t>(
-                                   config.shard_buffer_bytes / S,
-                                   sizeof(Tuple)),
-                               io);
+  const fs::path bundle_dir = consumer_scratch_dir(ctx.work_dir, c);
+  std::vector<std::uint64_t> slot_tuples;
   {
     ScopedAccumulator timing(&stats.timings.hash_s);
-    // Stream one producer's spool at a time, in producer order p = 0..S-1
-    // whether it is a file or arrived inline — peak extra memory is the
-    // largest single spool, not the whole pre-dedup stream. The expected
-    // record count comes from the spool sizes, so every execution mode
-    // reserves identically.
     auto inline_spool = [&](std::uint32_t p) {
       return p < inline_spools.size() ? inline_spools[p] : std::nullopt;
     };
-    auto spool_path = [&](std::uint32_t p) {
-      return routed_spool_path(spools_dir(ctx.work_dir), kSpoolStem, p, c);
+    std::vector<SlotBuckets> buckets(1, SlotBuckets(num_slots));
+    SlotBuckets& slots = buckets.front();
+    auto slot_of = [&](const Tuple& t) {
+      return pi_pair_slot(ctx.assignment.owner(t.s),
+                          ctx.assignment.owner(t.d), m);
     };
-    std::uint64_t expected = 0;
+    // Buckets one spool of `count` tuples, tuple(i) the i-th. A counting
+    // pass first grows each slot exactly once per spool, so the buckets
+    // carry no geometric slack.
+    std::vector<std::size_t> counts(num_slots);
+    auto bucket = [&](std::size_t count, auto&& tuple) {
+      std::fill(counts.begin(), counts.end(), 0);
+      for (std::size_t i = 0; i < count; ++i) ++counts[slot_of(tuple(i))];
+      for (std::size_t slot = 0; slot < num_slots; ++slot) {
+        slots[slot].reserve(slots[slot].size() + counts[slot]);
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        const Tuple t = tuple(i);
+        slots[slot_of(t)].push_back(t);
+      }
+      worker.spooled_tuples += count;
+    };
     for (std::uint32_t p = 0; p < S; ++p) {
-      const auto spool = inline_spool(p);
-      expected += (spool ? spool->size() : knnpc::file_size(spool_path(p))) /
-                  sizeof(Tuple);
-    }
-    TupleTable table(expected);
-    for (std::uint32_t p = 0; p < S; ++p) {
-      const auto spool = inline_spool(p);
-      const std::vector<Tuple> chunk =
-          spool ? from_bytes<Tuple>(*spool)
-                : read_record_shard<Tuple>(spool_path(p), io);
-      worker.spooled_tuples += chunk.size();
-      for (const Tuple& t : chunk) {
-        if (table.insert(t)) {
-          pair_writer.add(pi_pair_slot(ctx.assignment.owner(t.s),
-                                       ctx.assignment.owner(t.d), m),
-                          t);
-        }
+      if (const auto spool = inline_spool(p)) {
+        // Read in place from the frame that carried it.
+        bucket(spool->size() / sizeof(Tuple), [&](std::size_t i) {
+          Tuple t;
+          std::memcpy(&t, spool->data() + i * sizeof(Tuple), sizeof(Tuple));
+          return t;
+        });
+      } else {
+        const std::vector<Tuple> chunk = read_record_shard<Tuple>(
+            routed_spool_path(spools_dir(ctx.work_dir), kSpoolStem, p, c),
+            io);
+        bucket(chunk.size(), [&](std::size_t i) { return chunk[i]; });
       }
     }
-    stats.unique_tuples = table.size();
-    pair_writer.finish();
+    slot_tuples = write_tuple_bundles(buckets, n, bundle_dir, pool, io);
+    for (const std::uint64_t u : slot_tuples) stats.unique_tuples += u;
   }
   if (mid_wave_hook) mid_wave_hook();
 
@@ -305,7 +313,7 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
     ScopedAccumulator timing(&stats.timings.pi_graph_s);
     for (PartitionId a = 0; a < m; ++a) {
       for (PartitionId b = a; b < m; ++b) {
-        const auto count = pair_writer.shard_records(pi_pair_slot(a, b, m));
+        const auto count = slot_tuples[pi_pair_slot(a, b, m)];
         if (count > 0) pi.add_edge(a, b, count);
       }
     }
@@ -315,8 +323,8 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
   }
 
   // Phase 4: stream the shared store through a private cache; top-K for
-  // this shard's users only. Offers are made serially — the kept set is
-  // offer-order-independent, so only scoring needs the pool.
+  // this shard's users only, through the engine's fused score-and-offer
+  // pass.
   KnnGraph next(n, config.k);
   {
     ScopedAccumulator timing(&stats.timings.knn_s);
@@ -334,7 +342,7 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
     // straight into the flat (SoA) layout. Persistent path
     // (local_profiles): tuples may reference any user, so pack the
     // worker's whole P(t) once — O(total entries), amortised over the
-    // full wave — and "load" only member lists, which keeps the load
+    // full wave — and "load" only an empty slot, which keeps the load
     // counts of the streaming path.
     PartitionCache cache(config.memory_slots, [&](PartitionId p) {
       if (store != nullptr) {
@@ -342,7 +350,6 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
       }
       PartitionData data;
       data.id = p;
-      data.vertices = ctx.assignment.members(p);
       return data;
     });
     const KernelBackend backend = resolve_kernel_backend(config.kernel);
@@ -362,26 +369,27 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
       const std::vector<Tuple> tuples = read_record_shard<Tuple>(
-          pair_writer.shard_path(pi_pair_slot(pair.a, pair.b, m)), io);
+          tuple_bundle_path(bundle_dir, pi_pair_slot(pair.a, pair.b, m)),
+          io);
       const PartitionData& pa = cache.get(pair.a);
       const PartitionData& pb = pair.b == pair.a ? pa : cache.get(pair.b);
       const FlatProfileSet& fa = local_flat ? *local_flat : pa.flat;
       const FlatProfileSet* fb =
           local_flat || pair.b == pair.a ? nullptr : &pb.flat;
-      {
-        ScopedAccumulator score_timing(&stats.knn_score_s);
-        score_tuples(tuples, fa, fb, config.measure, backend, pool, scores);
-      }
+      ScopedAccumulator score_timing(&stats.knn_score_s);
       if (score_writer) {
+        scores.resize(tuples.size());
+        score_and_offer(tuples, fa, fb, config.measure, backend, pool,
+                        [&](std::size_t i, float score) { scores[i] = score; });
         for (std::size_t i = 0; i < tuples.size(); ++i) {
           score_writer->add(ctx.assignment.owner(tuples[i].s),
                             {tuples[i].s, tuples[i].d, scores[i]});
         }
       } else {
-        ScopedAccumulator merge_timing(&stats.knn_merge_s);
-        for (std::size_t i = 0; i < tuples.size(); ++i) {
-          acc.offer(tuples[i].s, tuples[i].d, scores[i]);
-        }
+        score_and_offer(tuples, fa, fb, config.measure, backend, pool,
+                        [&](std::size_t i, float score) {
+                          acc.offer(tuples[i].s, tuples[i].d, score);
+                        });
       }
     }
     cache.flush();

@@ -16,6 +16,7 @@
 #include "profiles/similarity_kernels.h"
 #include "util/hash.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/types.h"
 
 namespace knnpc {
@@ -154,20 +155,52 @@ std::uint64_t restart_candidates(VertexId s, VertexId n,
   return emitted;
 }
 
-/// Phase 4's scoring of one PI-pair bundle: scores[i] = similarity of
-/// (tuples[i].s, tuples[i].d), profiles looked up in `primary` and, for a
-/// two-partition pair, `secondary` (nullptr otherwise). Tuple shards are
-/// grouped by source user (phase-2 emission order), so runs of equal s
-/// batch naturally: one score_batch call — one source-profile lookup and
-/// one warm source row — per run. Runs over `pool` when non-null; each
-/// (i, score) pairing is independent of chunking, so the parallel split
-/// cannot change results. The one scoring loop behind the serial engine
-/// and every shard consumer.
-void score_tuples(std::span<const Tuple> tuples,
-                  const FlatProfileSet& primary,
-                  const FlatProfileSet* secondary, SimilarityMeasure measure,
-                  KernelBackend backend, ThreadPool* pool,
-                  std::vector<float>& scores);
+/// Phase 4's fused pass over one PI-pair bundle: scores every tuple and
+/// hands the result to offer(i, score) for bundle[i]. The bundle MUST be
+/// grouped by source user — every phase-2 bundle is, in ascending (s, d)
+/// order (core/tuple_dedup.h). It is cut into contiguous chunks at
+/// source-run boundaries, one `pool` task per chunk (inline without a
+/// pool); each task scores its runs through score_batch (one per-source
+/// kernel pass per run) and offers each run's scores in ascending i. All
+/// of a source's offers therefore come from one task, in bundle order, so
+/// an offer that touches only that source's state (TopKAccumulator::
+/// offer) is race-free, and every score is independent of the chunking,
+/// so the outcome is the same at any thread count. Profiles are looked
+/// up in `primary` and, for a two-partition pair, `secondary` (nullptr
+/// otherwise). The one phase-4 loop behind the serial engine and every
+/// shard consumer.
+template <typename Offer>
+void score_and_offer(std::span<const Tuple> bundle,
+                     const FlatProfileSet& primary,
+                     const FlatProfileSet* secondary,
+                     SimilarityMeasure measure, KernelBackend backend,
+                     ThreadPool* pool, Offer&& offer) {
+  auto score_runs = [&](std::size_t lo, std::size_t hi) {
+    // This chunk owns the runs that start in [lo, hi).
+    while (lo < hi && lo > 0 && bundle[lo].s == bundle[lo - 1].s) ++lo;
+    KernelScratch scratch;
+    std::vector<VertexId> candidates;
+    std::vector<float> scores;
+    while (lo < hi) {
+      std::size_t end = lo + 1;
+      while (end < bundle.size() && bundle[end].s == bundle[lo].s) ++end;
+      candidates.clear();
+      for (std::size_t i = lo; i < end; ++i) {
+        candidates.push_back(bundle[i].d);
+      }
+      scores.resize(candidates.size());
+      score_batch(primary, secondary, bundle[lo].s, candidates, measure,
+                  backend, scores.data(), scratch);
+      for (std::size_t i = lo; i < end; ++i) offer(i, scores[i - lo]);
+      lo = end;
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(0, bundle.size(), score_runs, /*min_chunk=*/256);
+  } else {
+    score_runs(0, bundle.size());
+  }
+}
 
 /// Reference tuple generator for tests: all (s, d) with d a
 /// neighbour's-neighbour of s (s -> v -> d, s != d), via plain adjacency

@@ -21,6 +21,7 @@ SparseProfile::SparseProfile(std::vector<ProfileEntry> entries)
     if (merged.weight != 0.0f) entries_[write++] = merged;
   }
   entries_.resize(write);
+  update_norm();
 }
 
 float SparseProfile::weight(ItemId item) const {
@@ -43,23 +44,19 @@ void SparseProfile::set(ItemId item, float w) {
   } else if (w != 0.0f) {
     entries_.insert(it, ProfileEntry{item, w});
   }
-  invalidate_norm();
+  update_norm();
 }
 
 void SparseProfile::add(ItemId item, float delta) {
   set(item, weight(item) + delta);
 }
 
-double SparseProfile::norm() const {
-  if (!norm_valid_) {
-    double sq = 0.0;
-    for (const ProfileEntry& e : entries_) {
-      sq += static_cast<double>(e.weight) * e.weight;
-    }
-    norm_ = std::sqrt(sq);
-    norm_valid_ = true;
+void SparseProfile::update_norm() noexcept {
+  double sq = 0.0;
+  for (const ProfileEntry& e : entries_) {
+    sq += static_cast<double>(e.weight) * e.weight;
   }
-  return norm_;
+  norm_ = std::sqrt(sq);
 }
 
 }  // namespace knnpc

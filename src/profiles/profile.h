@@ -45,19 +45,20 @@ class SparseProfile {
   /// Adds `delta` to the weight of `item` (erases if the result is 0).
   void add(ItemId item, float delta);
 
-  /// L2 norm; cached and recomputed lazily after mutation.
-  [[nodiscard]] double norm() const;
+  /// L2 norm, kept current by every mutation (so concurrent readers of a
+  /// const profile never write).
+  [[nodiscard]] double norm() const noexcept { return norm_; }
 
   friend bool operator==(const SparseProfile& a, const SparseProfile& b) {
     return a.entries_ == b.entries_;
   }
 
  private:
-  void invalidate_norm() noexcept { norm_valid_ = false; }
+  /// Recomputes norm_ over the entries in ascending item order.
+  void update_norm() noexcept;
 
   std::vector<ProfileEntry> entries_;
-  mutable double norm_ = 0.0;
-  mutable bool norm_valid_ = false;
+  double norm_ = 0.0;
 };
 
 }  // namespace knnpc

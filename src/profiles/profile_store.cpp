@@ -7,22 +7,44 @@
 
 namespace knnpc {
 
-std::vector<std::byte> pack_profiles(const std::vector<SparseProfile>& ps) {
-  std::vector<std::byte> out;
-  // Size estimate: header + per-profile header + entries.
+namespace {
+
+/// The pack_profiles layout over `count` profiles, profile i = row(i).
+template <typename Row>
+std::vector<std::byte> pack_rows(std::size_t count, Row&& row) {
   std::size_t bytes = sizeof(std::uint32_t);
-  for (const auto& p : ps) {
-    bytes += sizeof(std::uint32_t) + p.size() * sizeof(ProfileEntry);
+  for (std::size_t i = 0; i < count; ++i) {
+    bytes += sizeof(std::uint32_t) + row(i).size() * sizeof(ProfileEntry);
   }
-  out.reserve(bytes);
-  append_record(out, static_cast<std::uint32_t>(ps.size()));
-  for (const auto& p : ps) {
-    append_record(out, static_cast<std::uint32_t>(p.size()));
-    for (const ProfileEntry& e : p.entries()) {
-      append_record(out, e);
-    }
+  std::vector<std::byte> out(bytes);
+  std::byte* at = out.data();
+  auto put = [&](const void* data, std::size_t size) {
+    if (size > 0) std::memcpy(at, data, size);
+    at += size;
+  };
+  const auto header = static_cast<std::uint32_t>(count);
+  put(&header, sizeof(header));
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::span<const ProfileEntry> entries = row(i).entries();
+    const auto size = static_cast<std::uint32_t>(entries.size());
+    put(&size, sizeof(size));
+    put(entries.data(), entries.size_bytes());
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<std::byte> pack_profiles(const std::vector<SparseProfile>& ps) {
+  return pack_rows(ps.size(),
+                   [&](std::size_t i) -> const SparseProfile& { return ps[i]; });
+}
+
+std::vector<std::byte> pack_profiles(const ProfileStore& profiles,
+                                     std::span<const VertexId> users) {
+  return pack_rows(users.size(), [&](std::size_t i) -> const SparseProfile& {
+    return profiles.get(users[i]);
+  });
 }
 
 std::vector<SparseProfile> unpack_profiles(

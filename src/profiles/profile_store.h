@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "profiles/profile.h"
@@ -58,6 +59,10 @@ class InMemoryProfileStore final : public ProfileStore {
 ///   f32 weight)...
 /// Used by the partition store to write per-partition profile files.
 std::vector<std::byte> pack_profiles(const std::vector<SparseProfile>& ps);
+/// pack_profiles of profiles.get(u) for each u in `users`, in order,
+/// without copying the profiles first.
+std::vector<std::byte> pack_profiles(const ProfileStore& profiles,
+                                     std::span<const VertexId> users);
 std::vector<SparseProfile> unpack_profiles(
     const std::vector<std::byte>& bytes);
 

@@ -361,16 +361,13 @@ std::uint32_t intersect_items(const ItemId* a, std::uint32_t na,
   return static_cast<std::uint32_t>(scratch.match_a.size());
 }
 
-float score_pair(const FlatProfileSet::View& a, const FlatProfileSet::View& b,
-                 SimilarityMeasure measure, KernelBackend backend,
-                 KernelScratch& scratch) {
-  // InverseEuclid never needs the match list; everything else shares one
-  // intersection per pair.
-  if (measure == SimilarityMeasure::InverseEuclid) {
-    return kernel_inverse_euclidean(a, b);
-  }
-  const std::uint32_t common =
-      intersect_items(a.items, a.size, b.items, b.size, backend, scratch);
+namespace {
+
+/// The measure over the match list in `scratch` (`common` matches) —
+/// every measure but InverseEuclid.
+float score_matches(const FlatProfileSet::View& a,
+                    const FlatProfileSet::View& b, SimilarityMeasure measure,
+                    std::uint32_t common, const KernelScratch& scratch) {
   switch (measure) {
     case SimilarityMeasure::Cosine:
       return kernel_cosine(a, b, scratch);
@@ -387,9 +384,69 @@ float score_pair(const FlatProfileSet::View& a, const FlatProfileSet::View& b,
     case SimilarityMeasure::AdjustedCosine:
       return kernel_centered_cosine(a, b, a.mean, b.mean, scratch);
     case SimilarityMeasure::InverseEuclid:
-      break;  // handled above
+      break;  // needs no match list; the callers handle it
   }
   return 0.0f;
+}
+
+constexpr std::uint32_t kNoPosition = ~0u;
+
+/// Matches of b's items against the source whose positions fill
+/// scratch.dense and whose largest item is `last`. b is walked in
+/// ascending item order and the source's positions ascend with its
+/// items, so this is intersect_items' list.
+std::uint32_t intersect_dense(const ItemId* b, std::uint32_t nb, ItemId last,
+                              KernelScratch& scratch) {
+  scratch.match_a.clear();
+  scratch.match_b.clear();
+  const std::uint32_t* table = scratch.dense.data();
+  for (std::uint32_t j = 0; j < nb && b[j] <= last; ++j) {
+    const std::uint32_t i = table[b[j]];
+    if (i != kNoPosition) push_match(scratch, i, j);
+  }
+  return static_cast<std::uint32_t>(scratch.match_a.size());
+}
+
+/// Writes a source's item positions into scratch.dense and restores the
+/// all-absent table when it goes out of scope (exceptions included).
+class DenseSource {
+ public:
+  DenseSource(const FlatProfileSet::View& src, KernelScratch& scratch)
+      : src_(src), scratch_(scratch) {
+    const std::size_t needed = std::size_t{src.items[src.size - 1]} + 1;
+    if (scratch.dense.size() < needed) {
+      scratch.dense.resize(needed, kNoPosition);
+    }
+    for (std::uint32_t i = 0; i < src.size; ++i) {
+      scratch.dense[src.items[i]] = i;
+    }
+  }
+  DenseSource(const DenseSource&) = delete;
+  DenseSource& operator=(const DenseSource&) = delete;
+  ~DenseSource() {
+    for (std::uint32_t i = 0; i < src_.size; ++i) {
+      scratch_.dense[src_.items[i]] = kNoPosition;
+    }
+  }
+
+ private:
+  const FlatProfileSet::View& src_;
+  KernelScratch& scratch_;
+};
+
+}  // namespace
+
+float score_pair(const FlatProfileSet::View& a, const FlatProfileSet::View& b,
+                 SimilarityMeasure measure, KernelBackend backend,
+                 KernelScratch& scratch) {
+  // InverseEuclid never needs the match list; everything else shares one
+  // intersection per pair.
+  if (measure == SimilarityMeasure::InverseEuclid) {
+    return kernel_inverse_euclidean(a, b);
+  }
+  const std::uint32_t common =
+      intersect_items(a.items, a.size, b.items, b.size, backend, scratch);
+  return score_matches(a, b, measure, common, scratch);
 }
 
 namespace {
@@ -412,10 +469,29 @@ void score_batch(const FlatProfileSet& primary,
                  SimilarityMeasure measure, KernelBackend backend, float* out,
                  KernelScratch& scratch) {
   const FlatProfileSet::View sv = view_in_pair(primary, secondary, src);
+  const bool per_source = candidates.size() >= 2 &&
+                          measure != SimilarityMeasure::InverseEuclid &&
+                          sv.size > 0 && sv.items[sv.size - 1] < kDenseItemCap;
+  if (!per_source) {
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      const FlatProfileSet::View dv =
+          view_in_pair(primary, secondary, candidates[c]);
+      out[c] = score_pair(sv, dv, measure, backend, scratch);
+    }
+    return;
+  }
+  const DenseSource table(sv, scratch);
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     const FlatProfileSet::View dv =
         view_in_pair(primary, secondary, candidates[c]);
-    out[c] = score_pair(sv, dv, measure, backend, scratch);
+    // A candidate this much longer is cheaper to gallop through.
+    const std::uint32_t common =
+        dv.size > static_cast<std::uint64_t>(sv.size) * kGallopSkew
+            ? intersect_items(sv.items, sv.size, dv.items, dv.size, backend,
+                              scratch)
+            : intersect_dense(dv.items, dv.size, sv.items[sv.size - 1],
+                              scratch);
+    out[c] = score_matches(sv, dv, measure, common, scratch);
   }
 }
 

@@ -57,11 +57,18 @@ bool simd_backend_available();
 /// throws std::invalid_argument on anything else.
 KernelBackend resolve_kernel_backend(std::string_view request = "auto");
 
+/// Item ids at or above this cap keep a source out of score_batch's
+/// per-source path (its dense table would grow past 16 MiB per thread).
+inline constexpr ItemId kDenseItemCap = ItemId{1} << 22;
+
 /// Reusable per-thread match buffers (kernels never allocate after the
 /// first pairs at a given profile size).
 struct KernelScratch {
   std::vector<std::uint32_t> match_a;  // indices into a's arrays
   std::vector<std::uint32_t> match_b;  // indices into b's arrays
+  /// score_batch's per-source table: dense[item] = the source's index of
+  /// `item`, or ~0u. All ~0u between calls.
+  std::vector<std::uint32_t> dense;
 };
 
 /// Sorted-array intersection of two item-id lists: fills
@@ -85,6 +92,15 @@ float score_pair(const FlatProfileSet::View& a,
 /// may be null). Throws std::logic_error when an endpoint is in neither —
 /// the same "tuple endpoint outside loaded pair" condition the engines
 /// previously raised per pair.
+///
+/// Per-source path: for two or more candidates (and a source whose item
+/// ids are below kDenseItemCap), the source's item positions are written
+/// once into scratch.dense, and each candidate's items are walked in
+/// ascending order against that table. That yields exactly the match list
+/// intersect_items produces, so every measure replays the same
+/// floating-point sequence and out[i] equals score_pair bit for bit, on
+/// either backend. Single candidates, over-cap sources and heavily skewed
+/// pairs use intersect_items directly.
 void score_batch(const FlatProfileSet& primary,
                  const FlatProfileSet* secondary, VertexId src,
                  std::span<const VertexId> candidates,

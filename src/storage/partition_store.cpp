@@ -1,6 +1,7 @@
 #include "storage/partition_store.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "storage/external_sort.h"
@@ -106,7 +107,8 @@ std::vector<PartitionData> bucket_partition_edges(
 
 void PartitionStore::write_all(const EdgeList& graph,
                                const PartitionAssignment& assignment,
-                               const ProfileStore& profiles) {
+                               const ProfileStore& profiles,
+                               ThreadPool* pool) {
   if (graph.num_vertices != assignment.num_vertices()) {
     throw std::invalid_argument(
         "PartitionStore::write_all: graph/assignment size mismatch");
@@ -118,27 +120,36 @@ void PartitionStore::write_all(const EdgeList& graph,
   m_ = assignment.num_partitions();
   const std::vector<PartitionData> parts =
       bucket_partition_edges(graph, assignment);
+  std::vector<std::vector<VertexId>> members(m_);
+  for (VertexId v = 0; v < assignment.num_vertices(); ++v) {
+    members[assignment.owner(v)].push_back(v);
+  }
 
-  IoCounters raw;  // write_file wants a counter; we fold into io_ below.
-  for (PartitionId p = 0; p < m_; ++p) {
-    const auto members = assignment.members(p);
-    const auto in_bytes = to_bytes(parts[p].in_edges);
-    const auto out_bytes = to_bytes(parts[p].out_edges);
-    write_file(file(p, ".in"), in_bytes, raw);
-    write_file(file(p, ".out"), out_bytes, raw);
-    io_.charge_write(in_bytes.size());
-    io_.charge_write(out_bytes.size());
-    std::vector<SparseProfile> member_profiles;
-    member_profiles.reserve(members.size());
-    for (VertexId v : members) member_profiles.push_back(profiles.get(v));
-    const auto prof_bytes = pack_profiles(member_profiles);
-    write_file(file(p, ".prof"), prof_bytes, raw);
-    io_.charge_write(prof_bytes.size());
-
-    // Vertex membership file (ascending ids).
-    const auto member_bytes = to_bytes(members);
-    write_file(file(p, ".vtx"), member_bytes, raw);
-    io_.charge_write(member_bytes.size());
+  // Bytes of each partition's .in, .out, .prof and .vtx file.
+  std::vector<std::array<std::uint64_t, 4>> written(m_);
+  auto write_partitions = [&](std::size_t lo, std::size_t hi) {
+    IoCounters raw;  // write_file wants a counter; io_ is charged below.
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto p = static_cast<PartitionId>(i);
+      const std::vector<std::byte> files[4] = {
+          to_bytes(parts[p].in_edges), to_bytes(parts[p].out_edges),
+          pack_profiles(profiles, members[p]),
+          // Vertex membership file (ascending ids).
+          to_bytes(members[p])};
+      const char* const suffixes[4] = {".in", ".out", ".prof", ".vtx"};
+      for (std::size_t f = 0; f < 4; ++f) {
+        write_file(file(p, suffixes[f]), files[f], raw);
+        written[p][f] = files[f].size();
+      }
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(0, m_, write_partitions, /*min_chunk=*/1);
+  } else {
+    write_partitions(0, m_);
+  }
+  for (const auto& bytes : written) {
+    for (const std::uint64_t b : bytes) io_.charge_write(b);
   }
 }
 
@@ -191,10 +202,7 @@ void PartitionStore::write_all_streaming(
   IoCounters raw;
   for (PartitionId p = 0; p < m_; ++p) {
     const auto members = assignment.members(p);
-    std::vector<SparseProfile> member_profiles;
-    member_profiles.reserve(members.size());
-    for (VertexId v : members) member_profiles.push_back(profiles.get(v));
-    const auto prof_bytes = pack_profiles(member_profiles);
+    const auto prof_bytes = pack_profiles(profiles, members);
     write_file(file(p, ".prof"), prof_bytes, raw);
     io_.charge_write(prof_bytes.size());
     const auto member_bytes = to_bytes(members);

@@ -96,9 +96,12 @@ class PartitionStore {
   /// files. Profiles indexed by vertex id; edges of G(t) are routed to the
   /// partition owning their *bridge* role (bucket_partition_edges below):
   /// every partition holds both edge directions of its own vertices, as
-  /// the paper specifies.
+  /// the paper specifies. `pool` writes each partition's four files as one
+  /// task (so `profiles.get()` must allow concurrent readers); the byte
+  /// counts are charged to io() afterwards in partition order, so the
+  /// accounting is the same at any thread count.
   void write_all(const EdgeList& graph, const PartitionAssignment& assignment,
-                 const ProfileStore& profiles);
+                 const ProfileStore& profiles, ThreadPool* pool = nullptr);
 
   /// Low-memory variant of write_all: edges stream to per-partition files
   /// through a bounded buffer (storage/shard_writer.h) and each edge file

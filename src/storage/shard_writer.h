@@ -1,8 +1,8 @@
-// Bounded-memory record shard writers (phase 2's tuple spill and phase
-// 4's score spill).
+// Bounded-memory record shard writers (the sharded driver's cross-shard
+// tuple spools, phase 4's score spill, phase 1's streaming edge spill).
 //
-// H's unique tuples are bucketed by PI pair; phase 4's candidate scores
-// can be bucketed by owning partition. Holding every bucket in memory
+// Spooled tuples are bucketed by consuming shard; phase 4's candidate
+// scores by owning partition. Holding every bucket in memory
 // until its phase ends would defeat the memory budget on large graphs, so
 // the writer keeps a small buffer per shard and appends the largest
 // buffer to its file whenever the global budget is exceeded — peak memory
@@ -25,9 +25,9 @@
 namespace knnpc {
 
 /// Thread-safety: a RecordShardWriter is single-writer — add()/finish()
-/// must come from one thread at a time (the engine calls it from the
-/// phase-2 loop; the shard driver gives each producer its own instance via
-/// RoutedShardWriter below). The optional IoAccountant MAY be shared
+/// must come from one thread at a time (the engine's score spill is
+/// written from its phase-4 loop; the shard driver gives each producer
+/// its own instance via RoutedShardWriter below). The optional IoAccountant MAY be shared
 /// across writers on different threads — its charges are atomic.
 ///
 /// Ownership: the writer owns its buffers and the files under <dir>; it
@@ -143,9 +143,6 @@ std::vector<T> read_record_shard(const std::filesystem::path& path,
   if (accountant != nullptr) accountant->charge_read(size);
   return records;
 }
-
-/// Phase-2 specialisation: tuple shards keyed by PI pair.
-using TupleShardWriter = RecordShardWriter<Tuple>;
 
 /// Stem of producer `p`'s private writer inside a routed spool: spool
 /// (p, c) lives at <dir>/<stem>_p<p>_<c>.bin. Exposed so a persistent

@@ -144,7 +144,12 @@ void ThreadPool::run_chunks(std::size_t begin, std::size_t end,
     });
     if (job_ == job) job_.reset();
   }
-  if (job->exc) std::rethrow_exception(job->exc);
+  // Take sole ownership of the exception before rethrowing: a straggling
+  // worker may release the last reference to the job later, and it must
+  // not be the thread that destroys an exception the caller is handling.
+  if (std::exception_ptr exc = std::move(job->exc)) {
+    std::rethrow_exception(std::move(exc));
+  }
 }
 
 void ThreadPool::work_on(Job& job) {

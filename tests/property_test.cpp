@@ -8,8 +8,8 @@
 #include <set>
 
 #include "core/engine.h"
+#include "core/tuple_dedup.h"
 #include "core/tuple_generation.h"
-#include "core/tuple_table.h"
 #include "graph/generators.h"
 #include "partition/cost.h"
 #include "partition/partitioner.h"
@@ -81,10 +81,11 @@ TEST_P(TupleInvarianceTest, UniqueTuplesIndependentOfPartitionCount) {
   const Digraph digraph(graph);
 
   // Reference from the whole graph.
-  TupleTable expected;
+  std::set<Tuple> expected;
   all_bridge_tuples(digraph, [&](Tuple t) { expected.insert(t); });
 
-  // Via partitioned merge-join.
+  // Via partitioned merge-join, one producer per partition, deduplicated
+  // by the phase-2 helper (one slot).
   const auto assignment = RangePartitioner{}.assign(digraph, m);
   ProfileGenConfig pconfig;
   pconfig.num_users = 100;
@@ -92,14 +93,18 @@ TEST_P(TupleInvarianceTest, UniqueTuplesIndependentOfPartitionCount) {
   ScratchDir dir("prop-tuples");
   PartitionStore store(dir.path());
   store.write_all(graph, assignment, profiles);
-  TupleTable got;
+  std::vector<SlotBuckets> producers(m, SlotBuckets(1));
   for (PartitionId p = 0; p < m; ++p) {
     const PartitionData data = store.load_edges(p);
     merge_join_tuples(data.in_edges, data.out_edges,
-                      [&](Tuple t) { got.insert(t); });
+                      [&](Tuple t) { producers[p][0].push_back(t); });
   }
-  EXPECT_EQ(got.size(), expected.size());
-  expected.for_each([&](Tuple t) { EXPECT_TRUE(got.contains(t)); });
+  std::vector<Tuple> got;
+  dedup_tuple_slots(producers, 100, nullptr,
+                    [&](std::size_t, std::span<const Tuple> run) {
+                      got.assign(run.begin(), run.end());
+                    });
+  EXPECT_EQ(got, std::vector<Tuple>(expected.begin(), expected.end()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TupleInvarianceTest,
@@ -213,20 +218,33 @@ TEST(ObjectiveTest, CoarserPartitioningNeverIncreasesTotalUniqueEndpoints) {
   }
 }
 
-// ---------- Property: tuple table agrees with std::set reference ---------
+// ---------- Property: sort-based dedup agrees with std::set reference ---
 
-TEST(TupleTableFuzzTest, MatchesReferenceSetOnRandomStreams) {
+TEST(TupleDedupFuzzTest, MatchesReferenceSetOnRandomStreams) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     Rng rng(seed * 7 + 1);
-    TupleTable table;
-    std::set<std::uint64_t> reference;
+    // Three producers, four slots keyed by (s + d) % 4 — a function of
+    // the tuple, as a pair slot is.
+    std::vector<SlotBuckets> producers(3, SlotBuckets(4));
+    std::set<Tuple> reference;
     for (int i = 0; i < 20000; ++i) {
       const Tuple t{static_cast<VertexId>(rng.next_below(200)),
                     static_cast<VertexId>(rng.next_below(200))};
-      const bool inserted_ref = reference.insert(tuple_key(t)).second;
-      EXPECT_EQ(table.insert(t), inserted_ref);
+      reference.insert(t);
+      producers[rng.next_below(3)][(t.s + t.d) % 4].push_back(t);
     }
-    EXPECT_EQ(table.size(), reference.size());
+    std::set<Tuple> got;
+    std::uint64_t emitted = 0;
+    const std::vector<std::uint64_t> unique = dedup_tuple_slots(
+        producers, 200, nullptr,
+        [&](std::size_t, std::span<const Tuple> run) {
+          got.insert(run.begin(), run.end());
+          emitted += run.size();
+        });
+    EXPECT_EQ(got, reference);
+    EXPECT_EQ(emitted, reference.size());  // no duplicate survived
+    EXPECT_EQ(std::accumulate(unique.begin(), unique.end(), std::uint64_t{0}),
+              reference.size());
   }
 }
 

@@ -3,6 +3,9 @@
 // routed spool exchange, and the merged-output container.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -10,6 +13,7 @@
 
 #include "core/engine.h"
 #include "core/shard_driver.h"
+#include "core/tuple_dedup.h"
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
 #include "staticgraph/sharded_graph.h"
@@ -120,6 +124,73 @@ TEST_P(ShardCountTest, SamplingAndReverseCandidatesBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardCountTest,
                          ::testing::Values(1u, 2u, 3u, 5u));
+
+// Phase-2 bundles: every engine and thread-mode consumer tuples_<slot>.bin
+// is strictly ascending in (s, d), and the consumers' bundles of a slot
+// together hold exactly the engine's (each consumer owns its sources).
+TEST(TupleBundleTest, ConsumerBundlesAscendAndUniteToTheEngines) {
+  EngineConfig config = base_config();
+  const std::size_t m = config.num_partitions;
+  const std::size_t num_slots = m * (m + 1) / 2;
+  auto read_bundles = [&](const std::filesystem::path& dir) {
+    std::vector<std::vector<Tuple>> bundles;
+    for (std::size_t slot = 0; slot < num_slots; ++slot) {
+      bundles.push_back(read_record_shard<Tuple>(tuple_bundle_path(dir, slot)));
+    }
+    return bundles;
+  };
+  auto strictly_ascending = [](const std::vector<Tuple>& bundle) {
+    return std::adjacent_find(bundle.begin(), bundle.end(),
+                              [](const Tuple& a, const Tuple& b) {
+                                return !(a < b);
+                              }) == bundle.end();
+  };
+
+  ScratchDir serial_dir("bundles_serial");
+  config.work_dir = serial_dir.path().string();
+  KnnEngine serial(config, clustered(80, 4, 21));
+  const std::vector<std::uint32_t> shard_counts = {1, 2, 3};
+  std::vector<std::unique_ptr<ScratchDir>> dirs;
+  std::vector<std::unique_ptr<ShardedKnnEngine>> sharded;
+  for (const std::uint32_t S : shard_counts) {
+    dirs.push_back(std::make_unique<ScratchDir>("bundles_sharded"));
+    config.work_dir = dirs.back()->path().string();
+    ShardConfig shard_config;
+    shard_config.shards = S;
+    sharded.push_back(std::make_unique<ShardedKnnEngine>(
+        config, shard_config, clustered(80, 4, 21)));
+  }
+  for (int it = 0; it < 2; ++it) {
+    serial.run_iteration();
+    const auto expected = read_bundles(serial_dir.path());
+    std::size_t total = 0;
+    for (std::size_t slot = 0; slot < num_slots; ++slot) {
+      EXPECT_TRUE(strictly_ascending(expected[slot])) << "engine slot " << slot;
+      total += expected[slot].size();
+    }
+    EXPECT_GT(total, 0u);
+    for (std::size_t i = 0; i < shard_counts.size(); ++i) {
+      const std::uint32_t S = shard_counts[i];
+      sharded[i]->run_iteration();
+      std::vector<std::vector<Tuple>> united(num_slots);
+      for (std::uint32_t c = 0; c < S; ++c) {
+        const auto bundles = read_bundles(dirs[i]->path() /
+                                          ("worker_" + std::to_string(c)));
+        for (std::size_t slot = 0; slot < num_slots; ++slot) {
+          EXPECT_TRUE(strictly_ascending(bundles[slot]))
+              << "S=" << S << " consumer " << c << " slot " << slot;
+          united[slot].insert(united[slot].end(), bundles[slot].begin(),
+                              bundles[slot].end());
+        }
+      }
+      for (std::size_t slot = 0; slot < num_slots; ++slot) {
+        std::sort(united[slot].begin(), united[slot].end());
+        EXPECT_EQ(united[slot], expected[slot])
+            << "S=" << S << " iteration " << it << " slot " << slot;
+      }
+    }
+  }
+}
 
 TEST(ShardDriverTest, ShardSplitStrategyDoesNotChangeOutput) {
   const EngineConfig config = base_config();

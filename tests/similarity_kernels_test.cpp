@@ -491,6 +491,117 @@ TEST(ScoreBatchTest, ScoresCandidatesAgainstBothSetsOfAPair) {
                std::logic_error);
 }
 
+// ---------------------------------------------- per-source score_batch --
+
+/// `p` with every item id moved up by `offset`.
+SparseProfile shifted(const SparseProfile& p, ItemId offset) {
+  std::vector<ProfileEntry> entries(p.entries().begin(), p.entries().end());
+  for (ProfileEntry& e : entries) e.item += offset;
+  return prof(std::move(entries));
+}
+
+class PerSourceBatchTest
+    : public ::testing::TestWithParam<SimilarityMeasure> {};
+
+TEST_P(PerSourceBatchTest, EqualsScorePairBitForBit) {
+  const SimilarityMeasure measure = GetParam();
+  Rng rng(97);
+  std::vector<SparseProfile> profiles;
+  for (int i = 0; i < 24; ++i) {
+    profiles.push_back(random_profile(5 + rng.next_below(40),
+                                      1 + static_cast<std::uint32_t>(
+                                              rng.next_below(4)),
+                                      rng));
+  }
+  profiles.push_back(SparseProfile{});  // empty
+  profiles.push_back(SparseProfile{});
+  profiles.push_back(prof({{3, 2.0f}}));  // one entry
+  profiles.push_back(random_profile(2000, 1, rng));  // gallop-skewed
+  // Items at the cap's edge: the last one just below it, then sources
+  // and candidates above it (the per-source path is skipped for a source
+  // whose items reach the cap; a candidate's items beyond the source's
+  // are simply unmatched).
+  profiles.push_back(shifted(random_profile(20, 2, rng), kDenseItemCap - 60));
+  profiles.push_back(shifted(random_profile(20, 2, rng), kDenseItemCap - 30));
+  profiles.push_back(shifted(random_profile(20, 2, rng), kDenseItemCap + 7));
+  {
+    std::vector<ProfileEntry> straddling(profiles[0].entries().begin(),
+                                         profiles[0].entries().end());
+    straddling.push_back({kDenseItemCap + 1, 1.5f});
+    profiles.push_back(prof(std::move(straddling)));
+  }
+  const auto n = static_cast<VertexId>(profiles.size());
+
+  for (const bool quantize : {false, true}) {
+    const FlatProfileSet set = flatten(profiles, quantize);
+    for (const KernelBackend backend :
+         {KernelBackend::Scalar, resolve_kernel_backend("simd")}) {
+      SCOPED_TRACE(std::string(kernel_backend_name(backend)) +
+                   (quantize ? " quantized" : ""));
+      KernelScratch batch_scratch;
+      KernelScratch pair_scratch;
+      for (VertexId src = 0; src < n; ++src) {
+        for (const std::size_t run : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{7}, std::size_t{n}}) {
+          std::vector<VertexId> candidates;
+          for (std::size_t c = 0; c < run; ++c) {
+            candidates.push_back(
+                run == n ? static_cast<VertexId>(c)
+                         : static_cast<VertexId>(rng.next_below(n)));
+          }
+          std::vector<float> out(candidates.size());
+          score_batch(set, nullptr, src, candidates, measure, backend,
+                      out.data(), batch_scratch);
+          for (std::size_t c = 0; c < candidates.size(); ++c) {
+            const float expected =
+                score_pair(set.view(src), set.view(candidates[c]), measure,
+                           backend, pair_scratch);
+            EXPECT_TRUE(bit_equal(out[c], expected))
+                << "src " << src << " candidate " << candidates[c]
+                << " run " << run;
+          }
+        }
+      }
+      // Each run leaves the per-source table all-absent for the next.
+      EXPECT_TRUE(std::all_of(batch_scratch.dense.begin(),
+                              batch_scratch.dense.end(),
+                              [](std::uint32_t x) { return x == ~0u; }));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMeasures, PerSourceBatchTest,
+    ::testing::ValuesIn(kAllSimilarityMeasures),
+    [](const ::testing::TestParamInfo<SimilarityMeasure>& info) {
+      std::string name = similarity_name(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(PerSourceScratchTest, ThrowMidRunLeavesTheTableClean) {
+  Rng rng(43);
+  std::vector<SparseProfile> profiles;
+  for (int i = 0; i < 3; ++i) profiles.push_back(random_profile(20, 2, rng));
+  const FlatProfileSet set = flatten(profiles);
+  KernelScratch scratch;
+  std::vector<float> out(2);
+  const std::vector<VertexId> with_stranger = {1, 99};
+  EXPECT_THROW(score_batch(set, nullptr, 0, with_stranger,
+                           SimilarityMeasure::Cosine, KernelBackend::Scalar,
+                           out.data(), scratch),
+               std::logic_error);
+  EXPECT_TRUE(std::all_of(scratch.dense.begin(), scratch.dense.end(),
+                          [](std::uint32_t x) { return x == ~0u; }));
+  const std::vector<VertexId> candidates = {1, 2};
+  score_batch(set, nullptr, 0, candidates, SimilarityMeasure::Cosine,
+              KernelBackend::Scalar, out.data(), scratch);
+  EXPECT_TRUE(bit_equal(out[0], cosine_similarity(profiles[0], profiles[1])));
+  EXPECT_TRUE(bit_equal(out[1], cosine_similarity(profiles[0], profiles[2])));
+}
+
 // ------------------------------------------------------ golden replay --
 
 /// Replays the base golden row (the first data line of checksums.tsv)

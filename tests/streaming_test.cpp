@@ -122,7 +122,7 @@ TEST(ExternalSortTest, MissingInputThrows) {
 
 TEST(ShardWriterTest, RoutesRecordsToShards) {
   ScratchDir dir("shards");
-  TupleShardWriter writer(dir.path(), "tuples", 4, 1 << 20);
+  RecordShardWriter<Tuple> writer(dir.path(), "tuples", 4, 1 << 20);
   writer.add(0, {1, 2});
   writer.add(0, {3, 4});
   writer.add(3, {5, 6});
@@ -142,8 +142,8 @@ TEST(ShardWriterTest, TinyBudgetForcesIncrementalFlushes) {
   ScratchDir dir("shards-flush");
   IoAccountant accountant;
   // Budget of ~8 tuples across 2 shards.
-  TupleShardWriter writer(dir.path(), "tuples", 2, 8 * sizeof(Tuple),
-                          &accountant);
+  RecordShardWriter<Tuple> writer(dir.path(), "tuples", 2,
+                                  8 * sizeof(Tuple), &accountant);
   for (VertexId i = 0; i < 1000; ++i) {
     writer.add(i % 2, {i, i + 1});
   }
@@ -163,18 +163,18 @@ TEST(ShardWriterTest, TinyBudgetForcesIncrementalFlushes) {
 TEST(ShardWriterTest, RemovesStaleFilesOnConstruction) {
   ScratchDir dir("shards-stale");
   {
-    TupleShardWriter writer(dir.path(), "tuples", 2, 1 << 20);
+    RecordShardWriter<Tuple> writer(dir.path(), "tuples", 2, 1 << 20);
     writer.add(0, {1, 2});
     writer.finish();
   }
-  TupleShardWriter fresh(dir.path(), "tuples", 2, 1 << 20);
+  RecordShardWriter<Tuple> fresh(dir.path(), "tuples", 2, 1 << 20);
   fresh.finish();
   EXPECT_TRUE(read_record_shard<Tuple>(fresh.shard_path(0)).empty());
 }
 
 TEST(ShardWriterTest, AddAfterFinishThrows) {
   ScratchDir dir("shards-finish");
-  TupleShardWriter writer(dir.path(), "tuples", 1, 1 << 20);
+  RecordShardWriter<Tuple> writer(dir.path(), "tuples", 1, 1 << 20);
   writer.finish();
   EXPECT_THROW(writer.add(0, {1, 2}), std::logic_error);
 }
